@@ -19,13 +19,22 @@ the palm normal about the forearm long axis from a thumb-up neutral
 * axis obliquity: the functional deviation axis is tilted about the
   hand's long axis away from the pure palm normal (dart-thrower sense).
 
+Closed form
+-----------
+Wrist deviation turns the neutral hand direction h about the fixed unit
+axis k.  By Rodrigues the turned hand is h cos(t) + (k x h) sin(t) +
+k (k . h)(1 - cos(t)); the last term is parallel to k, so it drops out of
+the moment k . (r x g).  Both point masses sit on the hand axis and fold
+into one lever, so the reaction moment is exactly A cos(t) + B sin(t) with
+A = -lever k . (h x g) and B = -lever k . ((k x h) x g).
+
 Angles are radians, masses kg, lengths m, moments N*m.  Returned moments
 are abduction-positive reaction torques: positive values mean the joint
 (or its assisting spring) must push toward abduction to hold the pose.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,16 +107,11 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Cyclic wrist angle trajectory, a mean plus sinusoidal harmonics.
-
-    theta(phi) = mean_angle + amplitude * sin(phi)
-                 + sum(coeff * sin(order * phi) for order, coeff in harmonics)
-    """
+    """Cyclic wrist angle trajectory, theta(t) = mean + amplitude * sin(2 pi t / period)."""
 
     mean_angle: float   # rad
     amplitude: float    # rad
     period: float       # s
-    harmonics: tuple = ()
 
     def __post_init__(self):
         if not _finite(self.mean_angle):
@@ -116,22 +120,10 @@ class MotionProfile:
             raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
         if not _finite(self.period) or self.period <= 0:
             raise DomainError(f"period must be > 0, got {self.period}")
-        for pair in self.harmonics:
-            order, coeff = pair
-            if int(order) != order or order < 1:
-                raise DomainError(f"harmonic order must be a positive integer, got {order}")
-            if not _finite(coeff):
-                raise DomainError("harmonic coefficient must be finite")
 
     def angle_range(self) -> tuple:
         """(min, max) wrist angle over one cycle."""
-        if not self.harmonics:
-            return (self.mean_angle - self.amplitude, self.mean_angle + self.amplitude)
-        phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        theta = self.mean_angle + self.amplitude * np.sin(phi)
-        for order, coeff in self.harmonics:
-            theta = theta + coeff * np.sin(order * phi)
-        return (float(theta.min()), float(theta.max()))
+        return (self.mean_angle - self.amplitude, self.mean_angle + self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -267,31 +259,31 @@ def hand_mass_from_body(body_mass: float, sex: str,
     return body_mass * fraction
 
 
-def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle: float,
+def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
                           load: LoadSpec, g: float = GRAVITY,
-                          convention: KinematicConvention = DEFAULT_CONVENTION) -> float:
+                          convention: KinematicConvention = DEFAULT_CONVENTION):
     """Static torque (N*m) the wrist must supply about its deviation axis.
 
-    Sums the gravity moments of the hand center of mass and the handheld
-    load about the deviation axis and negates, so the result is the
-    reaction the joint plus any assist must produce.  Abduction positive.
+    Minus the gravity moment of the hand and handheld load about the axis,
+    abduction positive.  One geometry solve gives A and B of the closed form
+    A cos(t) + B sin(t); the axial Rodrigues term is parallel to the axis,
+    so it adds no moment (see the module doc).  A scalar ``wrist_angle``
+    returns a float, an array of angles returns an array.
     """
     hand = _require_chain(segments)
-    if not _finite(wrist_angle):
+    theta = np.asarray(wrist_angle)
+    if theta.dtype.kind not in "biuf" or not np.isfinite(theta).all():
         raise DomainError("wrist_angle must be finite")
     if not _finite(g):
         raise DomainError("g must be finite")
 
     axis, hand_dir = wrist_geometry(posture, convention)
-    u_hand = _rotate(hand_dir, axis, wrist_angle)
+    lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
     g_vec = np.array([0.0, 0.0, -g])
-
-    gravity_moment = 0.0
-    for mass, dist in ((hand.mass, hand.com_ratio * hand.length),
-                       (load.handheld_mass, load.grip_offset)):
-        r = dist * u_hand
-        gravity_moment += mass * float(axis @ np.cross(r, g_vec))
-    return -gravity_moment
+    a = -lever * float(axis @ np.cross(hand_dir, g_vec))
+    b = -lever * float(axis @ np.cross(np.cross(axis, hand_dir), g_vec))
+    moment = a * np.cos(theta) + b * np.sin(theta)
+    return float(moment) if moment.ndim == 0 else moment
 
 
 def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfile,
@@ -304,18 +296,15 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     """
     if int(n_samples) != n_samples or n_samples < 2:
         raise DomainError(f"n_samples must be an integer >= 2, got {n_samples}")
-    lo, hi = motion.angle_range()
-    angles = np.linspace(lo, hi, int(n_samples))
-    moments = np.array([
-        wrist_reaction_moment(segments, posture, float(a), load, g, convention)
-        for a in angles])
+    angles = np.linspace(*motion.angle_range(), int(n_samples))
+    moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)
 
 
-def posture_presets(p3_pronation: float = math.radians(45.0)) -> dict:
-    """The three benchmark postures; P3's pronation is configurable."""
+def posture_presets() -> dict:
+    """The three benchmark postures."""
     return {
         "P1": ArmPosture(math.radians(30.0), math.radians(60.0), math.radians(90.0), "P1"),
         "P2": ArmPosture(math.radians(45.0), math.radians(60.0), 0.0, "P2"),
-        "P3": ArmPosture(math.radians(75.0), math.radians(120.0), p3_pronation, "P3"),
+        "P3": ArmPosture(math.radians(75.0), math.radians(120.0), math.radians(45.0), "P3"),
     }

@@ -95,21 +95,17 @@ def cmd_simulate(cfg, args) -> int:
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
 
-    curves = []
-    for posture in selected:
-        curves.append(sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load,
-                                         args.samples, cfg.gravity, cfg.convention))
+    curves = [sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load,
+                                 args.samples, cfg.gravity, cfg.convention)
+              for posture in selected]
     out = Path(args.out)
     if len(curves) == 1:
-        fileio.write_torque_curve(out, curves[0])
         paths = [out]
     else:
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for curve in curves:
-            path = out / f"{curve.posture_label}.csv"
-            fileio.write_torque_curve(path, curve)
-            paths.append(path)
+        paths = [out / f"{curve.posture_label}.csv" for curve in curves]
+    for curve, path in zip(curves, paths):
+        fileio.write_torque_curve(path, curve)
     for curve, path in zip(curves, paths):
         print(f"{_curve_summary(curve)} -> {path}")
     if len(curves) > 1:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .biomech import (BodySegment, KinematicConvention, LoadSpec, MotionProfile,
-                      hand_mass_from_body, posture_presets)
+from .biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
+                      MotionProfile, hand_mass_from_body)
 from .errors import ConfigError, DataError, DomainError
 from .springs import DEFAULT_CATALOG
 from .transmission import CableRoute, Gearing
@@ -106,20 +106,21 @@ def _read_ini(path) -> configparser.ConfigParser:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
+        user = configparser.ConfigParser(interpolation=None)
         try:
             with path.open(encoding="utf-8") as handle:
-                parser.read_file(handle)
+                user.read_file(handle)
         except (configparser.Error, OSError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        user = configparser.ConfigParser(interpolation=None)
-        with path.open(encoding="utf-8") as handle:
-            user.read_file(handle)
         for section in user.sections():
             if section not in DEFAULTS:
                 raise ConfigError(f"{path}: unknown config section [{section}]")
             for key in user[section]:
                 if key not in DEFAULTS[section]:
                     raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+        # a [DEFAULT] value never beat a section default; keep it that way
+        user.defaults().clear()
+        parser.read_dict(user)
     return parser
 
 
@@ -184,16 +185,13 @@ def _build(parser, base_dir) -> ToolkitConfig:
     if gravity <= 0:
         raise ConfigError("[kinematics] gravity_m_s2 must be > 0")
 
-    presets = posture_presets(math.radians(_get_float(parser, "postures", "p3_pronation_deg")))
-    postures = {}
-    for label, default in presets.items():
-        key = label.lower()
-        postures[label] = type(default)(
-            math.radians(_get_float(parser, "postures", f"{key}_shoulder_deg")),
-            math.radians(_get_float(parser, "postures", f"{key}_elbow_deg")),
-            math.radians(_get_float(parser, "postures", f"{key}_pronation_deg")),
-            label,
-        )
+    postures = {
+        label: ArmPosture(
+            *(math.radians(_get_float(parser, "postures", f"{label.lower()}_{joint}_deg"))
+              for joint in ("shoulder", "elbow", "pronation")),
+            label)
+        for label in ("P1", "P2", "P3")
+    }
 
     motion = MotionProfile(
         mean_angle=math.radians(_get_float(parser, "motion", "mean_deg")),

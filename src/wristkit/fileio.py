@@ -35,6 +35,7 @@ _CURVE_HEADER = ["angle_rad", "moment_Nm"]
 _CATALOG_HEADER = ["name", "stiffness_Nmm_per_deg"]
 _TRIAL_HEADER = ["t_s", "angle_deg", "current_mA", "button"]
 _LIKERT_HEADER = ["participant", "item", "score"]
+_BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 
 
 def _rows(path, expected_header):
@@ -222,7 +223,25 @@ def read_report(path) -> dict:
         raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(report, dict):
         raise DataError(f"{path}: report must be a JSON object")
+    for section, depth, keys in (("rom_total_deg", 1, _BOX_KEYS), ("tau_rms_nm", 1, _BOX_KEYS),
+                                 ("repeatability", 2, ("mean", "sd", "n"))):
+        _check_rows(path, section, report.get(section, {}), depth, keys)
     return report
+
+
+def _check_rows(path, where, node, depth, keys) -> None:
+    """Require ``depth`` levels of JSON objects above rows holding numeric ``keys``."""
+    if not isinstance(node, dict):
+        raise DataError(f"{path}: {where} must be a JSON object")
+    if depth:
+        for name, child in node.items():
+            _check_rows(path, f"{where}.{name}", child, depth - 1, keys)
+        return
+    for key in keys:
+        if key not in node:
+            raise DataError(f"{path}: {where} lacks {key!r}")
+        if isinstance(node[key], bool) or not isinstance(node[key], (int, float)):
+            raise DataError(f"{path}: {where}.{key} must be a number, got {node[key]!r}")
 
 
 def _fmt(value) -> str:
@@ -244,11 +263,10 @@ def write_plot_csvs(report: dict, out_dir) -> list:
     for fname, section in (("rom_boxplot.csv", "rom_total_deg"),
                            ("torque_boxplot.csv", "tau_rms_nm")):
         groups = report.get(section, {})
-        lines = ["spring,min,q1,median,q3,max,n"]
+        lines = ["spring," + ",".join(_BOX_KEYS)]
         for spring in sorted(groups):
             q = groups[spring]
-            lines.append(",".join([spring] + [
-                _fmt(q[k]) for k in ("min", "q1", "median", "q3", "max", "n")]))
+            lines.append(",".join([spring] + [_fmt(q[k]) for k in _BOX_KEYS]))
         path = out_dir / fname
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)

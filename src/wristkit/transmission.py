@@ -14,13 +14,10 @@ Angles are radians, torques N*m, forces N, currents A.
 import math
 from dataclasses import dataclass
 
+from .biomech import _finite
 from .errors import ConfigError, DomainError
 
 CAPSTAN_DIRECTIONS = ("aiding", "opposing")
-
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

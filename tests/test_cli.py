@@ -157,6 +157,34 @@ def test_report_rerenders_plot_csvs(tmp_path, capsys, corpus_dir):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda r: r["rom_total_deg"]["S1"].pop("min"), "rom_total_deg.S1 lacks 'min'"),
+    (lambda r: r["repeatability"]["S1"]["overall"].pop("mean"),
+     "repeatability.S1.overall lacks 'mean'"),
+    (lambda r: r["tau_rms_nm"].__setitem__("S2", [1, 2]), "tau_rms_nm.S2 must be a JSON object"),
+    (lambda r: r["repeatability"].__setitem__("S2", 3), "repeatability.S2 must be a JSON object"),
+    (lambda r: r.__setitem__("rom_total_deg", None), "rom_total_deg must be a JSON object"),
+    (lambda r: r["tau_rms_nm"]["S1"].__setitem__("q1", "1,2"), "tau_rms_nm.S1.q1 must be a number"),
+], ids=["box-min", "repeat-mean", "box-group", "repeat-posture", "section", "non-number"])
+def test_report_on_malformed_report_exits_2(tmp_path, capsys, mangle, message):
+    report = {
+        "rom_total_deg": {"S1": {"min": 40.0, "q1": 45.0, "median": 50.0,
+                                 "q3": 55.0, "max": 60.0, "n": 10}},
+        "tau_rms_nm": {"S1": {"min": 0.001, "q1": 0.002, "median": 0.003,
+                              "q3": 0.004, "max": 0.005, "n": 10}},
+        "repeatability": {"S1": {"overall": {"mean": 2.5, "sd": 0.5, "n": 5}}},
+    }
+    mangle(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    plots = tmp_path / "plots"
+    assert run(["report", str(path), "--plots-dir", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and message in err
+    assert not plots.exists()
+
+
 def test_simulate_fit_round_trip(tmp_path, capsys):
     # noiseless pipeline: fit coefficients must match a direct fit of the
     # simulated curve to high precision
