@@ -14,7 +14,7 @@ The pipeline has three stages, usable from Python or the ``wristkit`` CLI:
 
 from .biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
                       MotionProfile, TorqueCurve, hand_mass_from_body,
-                      posture_presets, sweep_torque_curve, wrist_reaction_moment)
+                      sweep_torque_curve, wrist_reaction_moment)
 from .config import ToolkitConfig, load_config
 from .errors import ConfigError, DataError, DomainError, TrialRejected
 from .springs import (CatalogSelection, LinearFit, SpringCatalogEntry,
@@ -44,7 +44,7 @@ __all__ = [
     "chi2_survival", "clean_interpolate", "derive_spring", "fit_linear",
     "friedman_test", "hand_mass_from_body", "joint_torque_estimate",
     "joint_torque_from_tension", "likert_summary", "load_config",
-    "motor_current_for_joint_torque", "posture_presets", "pretension_torque",
+    "motor_current_for_joint_torque", "pretension_torque",
     "regularized_upper_gamma", "repeatability", "rms_torque", "rom_metrics",
     "spring_torque", "stiffness_from_nmm_per_deg", "stiffness_to_nmm_per_deg",
     "sweep_torque_curve", "torque_series", "trial_metrics",

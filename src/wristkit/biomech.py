@@ -4,7 +4,9 @@ The arm is a rigid three-link chain (upper arm, forearm, hand) posed by
 shoulder flexion, elbow flexion, and forearm pronation.  Only the hand
 segment and any handheld load lie distal to the wrist, so the static
 torque the joint must supply is minus the gravity moment of those two
-point masses about the deviation (abduction-adduction) axis.
+point masses about the deviation (abduction-adduction) axis.  The upper
+arm and forearm only set directions, so the model takes no segment for
+them: ``segments`` maps ``"hand"`` to its :class:`BodySegment`.
 
 Frame convention
 ----------------
@@ -107,19 +109,16 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Cyclic wrist angle trajectory, theta(t) = mean + amplitude * sin(2 pi t / period)."""
+    """Cyclic wrist angle trajectory, theta = mean + amplitude * sin(phase)."""
 
     mean_angle: float   # rad
     amplitude: float    # rad
-    period: float       # s
 
     def __post_init__(self):
         if not _finite(self.mean_angle):
             raise DomainError("mean_angle must be finite")
         if not _finite(self.amplitude) or self.amplitude < 0:
             raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not _finite(self.period) or self.period <= 0:
-            raise DomainError(f"period must be > 0, got {self.period}")
 
     def angle_range(self) -> tuple:
         """(min, max) wrist angle over one cycle."""
@@ -232,9 +231,8 @@ def wrist_geometry(posture: ArmPosture,
 
 
 def _require_chain(segments: dict) -> BodySegment:
-    for name in ("upper_arm", "forearm", "hand"):
-        if name not in segments:
-            raise ConfigError(f"segment set is missing {name!r}")
+    if "hand" not in segments:
+        raise ConfigError("segment set is missing 'hand'")
     return segments["hand"]
 
 
@@ -300,11 +298,3 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)
 
-
-def posture_presets() -> dict:
-    """The three benchmark postures."""
-    return {
-        "P1": ArmPosture(math.radians(30.0), math.radians(60.0), math.radians(90.0), "P1"),
-        "P2": ArmPosture(math.radians(45.0), math.radians(60.0), 0.0, "P2"),
-        "P3": ArmPosture(math.radians(75.0), math.radians(120.0), math.radians(45.0), "P3"),
-    }

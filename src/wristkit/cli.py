@@ -20,7 +20,7 @@ from pathlib import Path
 from . import fileio, springs, trials
 from .biomech import ArmPosture, sweep_torque_curve
 from .config import load_config
-from .errors import ConfigError, DataError, DomainError, TrialRejected
+from .errors import ConfigError, DataError, DomainError
 from .transmission import pretension_torque
 
 
@@ -99,11 +99,7 @@ def cmd_simulate(cfg, args) -> int:
                                  args.samples, cfg.gravity, cfg.convention)
               for posture in selected]
     out = Path(args.out)
-    if len(curves) == 1:
-        paths = [out]
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        paths = [out / f"{curve.posture_label}.csv" for curve in curves]
+    paths = [out] if len(curves) == 1 else [out / f"{c.posture_label}.csv" for c in curves]
     for curve, path in zip(curves, paths):
         fileio.write_torque_curve(path, curve)
     for curve, path in zip(curves, paths):
@@ -163,6 +159,7 @@ def cmd_analyze(cfg, args) -> int:
     if not trial_dir.is_dir():
         raise DataError(f"not a directory: {trial_dir}")
     metrics, rejected, likert = [], [], ()
+    first_file = {}  # trial meta -> the first file name that parsed to it
     for path in sorted(trial_dir.iterdir(), key=lambda p: p.name):
         if not path.is_file():
             continue
@@ -172,12 +169,16 @@ def cmd_analyze(cfg, args) -> int:
         meta = fileio.parse_trial_filename(path.name)
         if meta is None:
             continue
+        if meta in first_file:
+            rejected.append((path.name, f"same condition and trial index as {first_file[meta]}"))
+            continue
+        first_file[meta] = path.name
         try:
             log = fileio.read_trial_log(path, meta)
             cleaned, fraction = trials.clean_interpolate(
                 log, cfg.angle_bounds, cfg.max_interpolated_fraction)
             metrics.append(trials.trial_metrics(cleaned, cfg.gearing, fraction))
-        except (TrialRejected, DataError) as exc:
+        except DataError as exc:
             rejected.append((path.name, str(exc)))
     if not metrics:
         raise DataError(f"no usable trial logs in {trial_dir}")

@@ -6,10 +6,14 @@ need no extra dependencies.  Every key has a built-in default; unknown
 sections or keys are rejected rather than ignored, so typos fail loudly
 at load time.  Angles are written in degrees in the file (matching how
 the hardware and protocol are described) and converted to radians here.
+
+Keys in ``_RETIRED`` once existed but never changed an output; a file
+that still sets one loads with a warning, and its value is not read.
 """
 
 import configparser
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,19 +21,14 @@ from .biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
                       MotionProfile, hand_mass_from_body)
 from .errors import ConfigError, DataError, DomainError
 from .springs import DEFAULT_CATALOG
-from .transmission import CableRoute, Gearing
+from .transmission import Gearing
 from . import fileio
 
-# Defaults model a ~95 kg adult male arm holding a 0.5 kg object; the
-# proximal segments only pose the chain, so only their geometry matters.
+# Defaults model a ~95 kg adult male arm holding a 0.5 kg object.  Only the
+# hand lies distal to the wrist; the upper arm and forearm are posed by the
+# [postures] angles alone, so neither their masses nor their lengths matter.
 DEFAULTS = {
     "segments": {
-        "upper_arm_mass_kg": "2.66",
-        "upper_arm_length_m": "0.28",
-        "upper_arm_com_ratio": "0.44",
-        "forearm_mass_kg": "1.54",
-        "forearm_length_m": "0.27",
-        "forearm_com_ratio": "0.43",
         "hand_mass_kg": "0.6175",
         "hand_length_m": "0.19",
         "hand_com_ratio": "0.5",
@@ -51,7 +50,6 @@ DEFAULTS = {
     "motion": {
         "mean_deg": "-7",
         "amplitude_deg": "37",
-        "period_s": "4.0",
         "min_angle_deg": "-44",
         "max_angle_deg": "30",
     },
@@ -60,9 +58,6 @@ DEFAULTS = {
         "grip_offset_m": "0.08",
     },
     "transmission": {
-        "lever_radius_m": "0.025",
-        "friction_mu": "0.04",
-        "wrap_angle_rad": str(math.pi),
         "gear_ratio": "128",
         "efficiency": "0.78",
         "torque_constant_nm_per_a": "0.0105",
@@ -78,6 +73,14 @@ DEFAULTS = {
     },
 }
 
+# Keys that older config files may still set; each is ignored with a warning.
+_RETIRED = {
+    "segments": {"upper_arm_mass_kg", "upper_arm_length_m", "upper_arm_com_ratio",
+                 "forearm_mass_kg", "forearm_length_m", "forearm_com_ratio"},
+    "motion": {"period_s"},
+    "transmission": {"lever_radius_m", "friction_mu", "wrap_angle_rad"},
+}
+
 _ANGLE_TOL = 1e-9
 
 
@@ -91,7 +94,6 @@ class ToolkitConfig:
     postures: dict
     motion: MotionProfile
     load: LoadSpec
-    route: CableRoute
     gearing: Gearing
     catalog: tuple
     pre_wind: float | None
@@ -116,7 +118,10 @@ def _read_ini(path) -> configparser.ConfigParser:
             if section not in DEFAULTS:
                 raise ConfigError(f"{path}: unknown config section [{section}]")
             for key in user[section]:
-                if key not in DEFAULTS[section]:
+                if key in _RETIRED.get(section, ()):
+                    warnings.warn(f"{path}: [{section}] {key} is retired and ignored",
+                                  stacklevel=3)
+                elif key not in DEFAULTS[section]:
                     raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
         # a [DEFAULT] value never beat a section default; keep it that way
         user.defaults().clear()
@@ -166,15 +171,9 @@ def _build(parser, base_dir) -> ToolkitConfig:
         if not sex and fraction is None:
             raise ConfigError("[segments] body_mass_kg needs sex or hand_mass_fraction")
         hand_mass = hand_mass_from_body(body_mass, sex, fraction)
-    segments = {
-        name: BodySegment(
-            name,
-            hand_mass if name == "hand" else _get_float(parser, sec, f"{name}_mass_kg"),
-            _get_float(parser, sec, f"{name}_length_m"),
-            _get_float(parser, sec, f"{name}_com_ratio"),
-        )
-        for name in ("upper_arm", "forearm", "hand")
-    }
+    segments = {"hand": BodySegment("hand", hand_mass,
+                                    _get_float(parser, sec, "hand_length_m"),
+                                    _get_float(parser, sec, "hand_com_ratio"))}
 
     convention = KinematicConvention(
         axis_obliquity=math.radians(_get_float(parser, "kinematics", "axis_obliquity_deg")),
@@ -196,7 +195,6 @@ def _build(parser, base_dir) -> ToolkitConfig:
     motion = MotionProfile(
         mean_angle=math.radians(_get_float(parser, "motion", "mean_deg")),
         amplitude=math.radians(_get_float(parser, "motion", "amplitude_deg")),
-        period=_get_float(parser, "motion", "period_s"),
     )
     limit_lo = math.radians(_get_float(parser, "motion", "min_angle_deg"))
     limit_hi = math.radians(_get_float(parser, "motion", "max_angle_deg"))
@@ -212,11 +210,6 @@ def _build(parser, base_dir) -> ToolkitConfig:
     load = LoadSpec(
         handheld_mass=_get_float(parser, "load", "handheld_mass_kg"),
         grip_offset=_get_float(parser, "load", "grip_offset_m"),
-    )
-    route = CableRoute(
-        lever_radius=_get_float(parser, "transmission", "lever_radius_m"),
-        friction_mu=_get_float(parser, "transmission", "friction_mu"),
-        wrap_angle=_get_float(parser, "transmission", "wrap_angle_rad"),
     )
     gearing = Gearing(
         ratio=_get_float(parser, "transmission", "gear_ratio"),
@@ -248,4 +241,4 @@ def _build(parser, base_dir) -> ToolkitConfig:
         raise ConfigError("[analysis] max_interpolated_fraction must lie in [0, 1]")
 
     return ToolkitConfig(segments, convention, gravity, postures, motion, load,
-                         route, gearing, catalog, pre_wind, angle_bounds, max_fraction)
+                         gearing, catalog, pre_wind, angle_bounds, max_fraction)

@@ -15,8 +15,10 @@ Parse failures raise :class:`DataError` naming the file and line.
 """
 
 import csv
+import errno
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -63,6 +65,26 @@ def _rows(path, expected_header):
         yield line_no, [cell.strip() for cell in row]
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so a failed write never leaves half a file.
+    An ``OSError`` names ``path``, not the temporary file."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
 def _parse_float(path, line_no, name, text):
     try:
         return float(text)
@@ -89,9 +111,7 @@ def write_torque_curve(path, curve: TorqueCurve) -> None:
     lines = [",".join(_CURVE_HEADER)]
     for angle, moment in zip(curve.angles, curve.moments):
         lines.append(f"{float(angle)!r},{float(moment)!r}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +186,7 @@ def write_trial_log(path, log: TrialLog) -> None:
         a_text = "" if not math.isfinite(a) else f"{a:g}"
         i_text = "" if not math.isfinite(i) else f"{i:g}"
         lines.append(f"{t:g},{a_text},{i_text},{b}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_likert_responses(path) -> tuple:
@@ -206,9 +224,7 @@ def render_report(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_report(report), encoding="utf-8")
+    _write_text(path, render_report(report))
 
 
 def read_report(path) -> dict:
@@ -257,7 +273,6 @@ def write_plot_csvs(report: dict, out_dir) -> list:
     ``repeatability.csv`` into ``out_dir``; returns the paths written.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     for fname, section in (("rom_boxplot.csv", "rom_total_deg"),
@@ -268,7 +283,7 @@ def write_plot_csvs(report: dict, out_dir) -> list:
             q = groups[spring]
             lines.append(",".join([spring] + [_fmt(q[k]) for k in _BOX_KEYS]))
         path = out_dir / fname
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     repeat = report.get("repeatability", {})
@@ -279,6 +294,6 @@ def write_plot_csvs(report: dict, out_dir) -> list:
             lines.append(",".join([spring, posture, _fmt(cell["mean"]),
                                    _fmt(cell["sd"]), _fmt(cell["n"])]))
     path = out_dir / "repeatability.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     written.append(path)
     return written

@@ -344,17 +344,13 @@ def likert_summary(responses) -> dict:
     """
     by_item = {}
     for resp in responses:
-        by_item.setdefault(resp.item, []).append(float(resp.score))
+        by_item.setdefault(resp.item, []).append(resp.score)
     summary = {}
     for item in sorted(by_item):
-        scores = np.sort(np.asarray(by_item[item]))
-        if scores.size == 1:
+        if len(by_item[item]) == 1:
             warnings.warn(f"likert item {item!r} has a single response; sd set to 0",
                           stacklevel=2)
-            sd = 0.0
-        else:
-            sd = float(scores.std(ddof=1))
-        summary[item] = {"mean": float(scores.mean()), "sd": sd, "n": int(scores.size)}
+        summary[item] = _mean_sd(by_item[item])
     return summary
 
 

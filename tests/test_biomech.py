@@ -6,20 +6,17 @@ import pytest
 
 from wristkit.biomech import (GRAVITY, ArmPosture, BodySegment, KinematicConvention,
                               LoadSpec, MotionProfile, TorqueCurve,
-                              hand_mass_from_body, posture_presets,
-                              sweep_torque_curve, wrist_geometry,
-                              wrist_reaction_moment)
+                              hand_mass_from_body, sweep_torque_curve,
+                              wrist_geometry, wrist_reaction_moment)
+from wristkit.config import load_config
 from wristkit.errors import ConfigError, DomainError
 
 import oracles
 
-SEGMENTS = {
-    "upper_arm": BodySegment("upper_arm", 2.66, 0.28, 0.44),
-    "forearm": BodySegment("forearm", 1.54, 0.27, 0.43),
-    "hand": BodySegment("hand", 0.6175, 0.19, 0.5),
-}
+SEGMENTS = {"hand": BodySegment("hand", 0.6175, 0.19, 0.5)}
 LOAD = LoadSpec(0.5, 0.08)
-MOTION = MotionProfile(math.radians(-7.0), math.radians(37.0), 4.0)
+MOTION = MotionProfile(math.radians(-7.0), math.radians(37.0))
+PRESETS = load_config().postures
 
 
 def test_segment_validation():
@@ -130,7 +127,7 @@ def test_moment_is_sinusoidal_in_wrist_angle():
 
 
 def test_moment_scales_with_gravity_and_mass():
-    posture = posture_presets()["P3"]
+    posture = PRESETS["P3"]
     base = wrist_reaction_moment(SEGMENTS, posture, 0.2, LOAD)
     doubled_g = wrist_reaction_moment(SEGMENTS, posture, 0.2, LOAD, g=2 * GRAVITY)
     assert doubled_g == pytest.approx(2 * base, rel=1e-12)
@@ -143,7 +140,7 @@ def test_moment_scales_with_gravity_and_mass():
 
 
 def test_bad_wrist_angle_rejected():
-    posture = posture_presets()["P1"]
+    posture = PRESETS["P1"]
     for bad in (math.nan, math.inf, np.array([0.1, math.nan]), "0.1", None):
         with pytest.raises(DomainError, match="wrist_angle"):
             wrist_reaction_moment(SEGMENTS, posture, bad, LOAD)
@@ -155,14 +152,15 @@ def test_sweep_solves_geometry_once(monkeypatch):
     solve = biomech.wrist_geometry
     monkeypatch.setattr(biomech, "wrist_geometry",
                         lambda *args: calls.append(args) or solve(*args))
-    sweep_torque_curve(SEGMENTS, posture_presets()["P2"], MOTION, LOAD, n_samples=500)
+    sweep_torque_curve(SEGMENTS, PRESETS["P2"], MOTION, LOAD, n_samples=500)
     assert len(calls) == 1
 
 
 def test_missing_segment_rejected():
-    with pytest.raises(ConfigError):
-        wrist_reaction_moment({"hand": SEGMENTS["hand"]}, posture_presets()["P1"],
-                              0.0, LOAD)
+    # the proximal segments never stand in for the hand
+    with pytest.raises(ConfigError, match="missing 'hand'"):
+        wrist_reaction_moment({"forearm": BodySegment("forearm", 1.54, 0.27, 0.43)},
+                              PRESETS["P1"], 0.0, LOAD)
 
 
 def test_motion_profile_range():
@@ -170,21 +168,21 @@ def test_motion_profile_range():
     assert lo == pytest.approx(math.radians(-44.0))
     assert hi == pytest.approx(math.radians(30.0))
     with pytest.raises(DomainError):
-        MotionProfile(0.0, -0.1, 4.0)
+        MotionProfile(0.0, -0.1)
     with pytest.raises(DomainError):
-        MotionProfile(0.0, 0.1, 0.0)
+        MotionProfile(math.nan, 0.1)
 
 
 
 def test_sweep_covers_motion_range():
-    curve = sweep_torque_curve(SEGMENTS, posture_presets()["P1"], MOTION, LOAD,
+    curve = sweep_torque_curve(SEGMENTS, PRESETS["P1"], MOTION, LOAD,
                                n_samples=13)
     assert len(curve.angles) == 13
     assert curve.angles[0] == pytest.approx(math.radians(-44.0))
     assert curve.angles[-1] == pytest.approx(math.radians(30.0))
     assert curve.posture_label == "P1"
     with pytest.raises(DomainError):
-        sweep_torque_curve(SEGMENTS, posture_presets()["P1"], MOTION, LOAD, n_samples=1)
+        sweep_torque_curve(SEGMENTS, PRESETS["P1"], MOTION, LOAD, n_samples=1)
 
 
 def test_torque_curve_invariants():
@@ -201,8 +199,8 @@ def test_torque_curve_invariants():
 
 
 def test_posture_presets():
-    presets = posture_presets()
-    assert set(presets) == {"P1", "P2", "P3"}
-    assert presets["P1"].forearm_pronation == pytest.approx(math.radians(90))
-    assert presets["P2"].forearm_pronation == 0.0
-    assert presets["P3"].shoulder_flexion == pytest.approx(math.radians(75))
+    assert [(label, p.label) for label, p in PRESETS.items()] == [
+        ("P1", "P1"), ("P2", "P2"), ("P3", "P3")]
+    assert PRESETS["P1"].forearm_pronation == pytest.approx(math.radians(90))
+    assert PRESETS["P2"].forearm_pronation == 0.0
+    assert PRESETS["P3"].shoulder_flexion == pytest.approx(math.radians(75))

@@ -1,4 +1,6 @@
 import json
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,44 @@ def test_analyze_ignores_unrelated_files(tmp_path, capsys, corpus_dir):
         assert run(["analyze", str(work), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["n_trials"] == 2
+    capsys.readouterr()
+
+
+def test_analyze_rejects_second_file_of_a_trial(tmp_path, capsys, corpus_dir):
+    # T01 and T1 both name trial 1; keeping both would pair a trial with itself
+    work = tmp_path / "trials"
+    work.mkdir()
+    for src in corpus_dir.glob("P1_POS1_unloaded_S1_T*.csv"):
+        shutil.copy(src, work / src.name)
+    shutil.copy(work / "P1_POS1_unloaded_S1_T1.csv", work / "P1_POS1_unloaded_S1_T01.csv")
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="friedman test .* omitted"):
+        assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_trials"] == 2
+    assert [t["trial"] for t in report["trials"]] == [1, 2]
+    assert report["rejected"] == [{
+        "file": "P1_POS1_unloaded_S1_T1.csv",
+        "reason": "same condition and trial index as P1_POS1_unloaded_S1_T01.csv"}]
+    assert "2 trials analyzed, 1 rejected" in capsys.readouterr().out
+
+
+def test_retired_config_keys_change_no_output(tmp_path, capsys, corpus_dir, retired_config):
+    path, expected = retired_config
+    outputs = {}
+    for name, config in (("plain", []), ("retired", ["--config", str(path)])):
+        out = tmp_path / name
+        curves = [str(out / "curves" / f"{p}.csv") for p in ("P1", "P2", "P3")]
+        for argv in (["simulate", "--posture", "all", "--out", str(out / "curves")],
+                     ["fit", *curves, "--out", str(out / "design.json")],
+                     ["analyze", str(corpus_dir), "--out", str(out / "report.json")]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(config + argv) == 0
+            assert [str(w.message) for w in caught] == (expected if config else [])
+        outputs[name] = {f.relative_to(out): f.read_bytes() for f in out.rglob("*.*")}
+    assert len(outputs["plain"]) == 8
+    assert outputs["retired"] == outputs["plain"]
     capsys.readouterr()
 
 

@@ -1,18 +1,19 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
-from wristkit.config import load_config
+from wristkit.config import DEFAULTS, load_config
 from wristkit.errors import ConfigError
 
 
 def test_defaults_load_without_file():
     cfg = load_config()
-    assert set(cfg.segments) == {"upper_arm", "forearm", "hand"}
+    assert set(cfg.segments) == {"hand"}
     assert cfg.segments["hand"].mass == pytest.approx(0.6175)
     assert cfg.postures["P3"].forearm_pronation == pytest.approx(math.radians(45))
-    assert cfg.motion.period == 4.0
-    assert cfg.route.lever_radius == 0.025
     assert cfg.gearing.ratio == 128.0
     assert cfg.gearing.efficiency == 0.78
     assert [e.name for e in cfg.catalog] == ["S1", "S2", "S3"]
@@ -58,6 +59,10 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(path)
     path.write_text("[gearbox]\nratio = 100\n")
     with pytest.raises(ConfigError, match="unknown config section"):
+        load_config(path)
+    # a retired key is tolerated only in the section it was retired from
+    path.write_text("[load]\nfriction_mu = 0.04\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'friction_mu' in \[load\]"):
         load_config(path)
 
 
@@ -107,3 +112,24 @@ def test_catalog_path(tmp_path):
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/no/such/file.ini")
+
+
+def test_retired_keys_warn_once_each_and_are_not_read(retired_config):
+    path, expected = retired_config
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = load_config(path)
+    assert [str(w.message) for w in caught] == expected
+    assert cfg == load_config()
+    assert sum(len(keys) for keys in DEFAULTS.values()) == 33
+
+
+def test_readme_example_config_loads_as_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_config(path) == load_config()

@@ -184,3 +184,22 @@ def test_plot_csvs(tmp_path):
     rep_text = (tmp_path / "plots" / "repeatability.csv").read_text()
     assert rep_text.splitlines()[1] == "S1,POS1,2.5,0.5,5"
     assert rep_text.splitlines()[2] == "S1,overall,2.5,0.5,5"
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report\n")
+    # an unencodable character fails the write after the temporary file is open
+    with pytest.raises(UnicodeEncodeError):
+        fileio._write_text(target, "new \udc80 report\n")
+    assert target.read_bytes() == b"old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    # a failing rename (a full disk, say) names the target, not the temporary file
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device", str(src))
+    monkeypatch.setattr(fileio.os, "replace", no_space)
+    with pytest.raises(OSError, match=r"No space left on device: '.*/report\.json'$"):
+        fileio.write_report(target, {"n_trials": 1})
+    assert target.read_bytes() == b"old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
