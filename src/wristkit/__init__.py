@@ -21,7 +21,7 @@ from .springs import (CatalogSelection, LinearFit, SpringCatalogEntry,
                       catalog_match, derive_spring, fit_linear,
                       stiffness_from_nmm_per_deg, stiffness_to_nmm_per_deg,
                       worst_case_select)
-from .stats import chi2_survival, regularized_upper_gamma
+from .stats import chi2_survival
 from .transmission import (CableRoute, DriveSolution, Gearing, SpringSpec,
                            capstan_transmit, joint_torque_from_tension,
                            motor_current_for_joint_torque, pretension_torque,
@@ -44,9 +44,8 @@ __all__ = [
     "chi2_survival", "clean_interpolate", "derive_spring", "fit_linear",
     "friedman_test", "hand_mass_from_body", "joint_torque_estimate",
     "joint_torque_from_tension", "likert_summary", "load_config",
-    "motor_current_for_joint_torque", "pretension_torque",
-    "regularized_upper_gamma", "repeatability", "rms_torque", "rom_metrics",
-    "spring_torque", "stiffness_from_nmm_per_deg", "stiffness_to_nmm_per_deg",
-    "sweep_torque_curve", "torque_series", "trial_metrics",
-    "worst_case_select", "wrist_reaction_moment",
+    "motor_current_for_joint_torque", "pretension_torque", "repeatability",
+    "rms_torque", "rom_metrics", "spring_torque", "stiffness_from_nmm_per_deg",
+    "stiffness_to_nmm_per_deg", "sweep_torque_curve", "torque_series",
+    "trial_metrics", "worst_case_select", "wrist_reaction_moment",
 ]

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 config error.
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import fileio, springs, trials
@@ -200,9 +201,16 @@ def cmd_report(cfg, args) -> int:
     return 0
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # warnings print as one line each; whoever records them still sees them
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
@@ -215,6 +223,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -112,8 +112,11 @@ def _read_ini(path) -> configparser.ConfigParser:
         try:
             with path.open(encoding="utf-8") as handle:
                 user.read_file(handle)
-        except (configparser.Error, OSError) as exc:
+        except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if user.defaults():
+            raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
+                              f"set each key in its own section")
         for section in user.sections():
             if section not in DEFAULTS:
                 raise ConfigError(f"{path}: unknown config section [{section}]")
@@ -123,8 +126,6 @@ def _read_ini(path) -> configparser.ConfigParser:
                                   stacklevel=3)
                 elif key not in DEFAULTS[section]:
                     raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-        # a [DEFAULT] value never beat a section default; keep it that way
-        user.defaults().clear()
         parser.read_dict(user)
     return parser
 

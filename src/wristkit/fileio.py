@@ -40,29 +40,39 @@ _LIKERT_HEADER = ["participant", "item", "score"]
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; an unreadable or undecodable file is a
+    :class:`DataError` naming the file (and the line of a bad byte)."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+
+
 def _rows(path, expected_header):
     """Yield (line_no, row) for a CSV file after checking its header."""
     path = Path(path)
+    reader = csv.reader(_read_text(path).splitlines())
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: file is empty") from None
-    if [h.strip() for h in header] != expected_header:
-        raise DataError(
-            f"{path}:1: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(expected_header):
-            raise DataError(f"{path}:{line_no}: expected {len(expected_header)} "
-                            f"fields, got {len(row)}")
-        yield line_no, [cell.strip() for cell in row]
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        if [h.strip() for h in header] != expected_header:
+            raise DataError(
+                f"{path}:1: expected header {','.join(expected_header)!r}, "
+                f"got {','.join(header)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(expected_header):
+                raise DataError(f"{path}:{line_no}: expected {len(expected_header)} "
+                                f"fields, got {len(row)}")
+            yield line_no, [cell.strip() for cell in row]
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _write_text(path, text: str) -> None:
@@ -229,14 +239,13 @@ def write_report(path, report: dict) -> None:
 
 def read_report(path) -> dict:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    text = _read_text(path)
     try:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise DataError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(report, dict):
         raise DataError(f"{path}: report must be a JSON object")
     for section, depth, keys in (("rom_total_deg", 1, _BOX_KEYS), ("tau_rms_nm", 1, _BOX_KEYS),

@@ -271,28 +271,6 @@ def repeatability(m1: TrialMetrics, m2: TrialMetrics) -> RepeatabilityRecord:
 # statistics across trials
 # ---------------------------------------------------------------------------
 
-def _row_ranks(row):
-    """Ascending 1-based ranks with average ranks for ties.
-
-    Returns (ranks, tie_group_sizes).
-    """
-    m = len(row)
-    order = sorted(range(m), key=lambda j: row[j])
-    ranks = [0.0] * m
-    tie_sizes = []
-    i = 0
-    while i < m:
-        j = i
-        while j + 1 < m and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        avg = (i + j + 2) / 2.0  # average of 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, tie_sizes
-
-
 def friedman_test(data) -> FriedmanResult:
     """Friedman rank test over an n-subjects x m-conditions matrix.
 
@@ -315,17 +293,17 @@ def friedman_test(data) -> FriedmanResult:
             raise DomainError("all rows must have the same number of conditions")
         if not all(math.isfinite(v) for v in row):
             raise DomainError("matrix cells must be finite (no missing cells)")
+    matrix = np.array(rows)
 
-    col_sums = [0.0] * m
-    tie_sum = 0.0
-    for row in rows:
-        ranks, tie_sizes = _row_ranks(row)
-        for j, r in enumerate(ranks):
-            col_sums[j] += r
-        for t in tie_sizes:
-            tie_sum += t ** 3 - t
+    # A cell's average 1-based rank is the count of smaller cells in its
+    # row plus (t + 1) / 2 for its tie group of size t (itself included);
+    # summing t**2 - 1 over the t cells of a group gives its t**3 - t.
+    below = (matrix[:, :, None] > matrix[:, None, :]).sum(2)
+    ties = (matrix[:, :, None] == matrix[:, None, :]).sum(2)
+    col_sums = (below + (ties + 1) / 2).sum(0)
+    tie_sum = float((ties ** 2 - 1).sum())
 
-    sum_sq = sum(r * r for r in col_sums)
+    sum_sq = float((col_sums * col_sums).sum())
     chi2 = 12.0 * sum_sq / (n * m * (m + 1)) - 3.0 * n * (m + 1)
     correction = 1.0 - tie_sum / (n * (m ** 3 - m))
     df = m - 1

@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,41 @@ def test_analyze_rejects_second_file_of_a_trial(tmp_path, capsys, corpus_dir):
         "file": "P1_POS1_unloaded_S1_T1.csv",
         "reason": "same condition and trial index as P1_POS1_unloaded_S1_T01.csv"}]
     assert "2 trials analyzed, 1 rejected" in capsys.readouterr().out
+
+
+def test_analyze_rejects_an_undecodable_trial_log(tmp_path, capsys, corpus_dir):
+    work = tmp_path / "trials"
+    work.mkdir()
+    for src in corpus_dir.glob("P1_POS1_unloaded_S1_T*.csv"):
+        shutil.copy(src, work / src.name)
+    bad = work / "P1_POS1_unloaded_S1_T2.csv"
+    bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="friedman test .* omitted"):
+        assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_trials"] == 1
+    assert report["rejected"] == [{
+        "file": bad.name, "reason": f"{bad}:2: not UTF-8 text (invalid start byte)"}]
+    capsys.readouterr()
+
+
+def test_warnings_print_as_one_line(tmp_path, capsys):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[transmission]\nfriction_mu = 0.1\n")
+    argv = ["--config", str(cfg), "simulate", "--posture", "P1", "--out", str(tmp_path / "c.csv")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+    done = subprocess.run([sys.executable, "-m", "wristkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == f"warning: {cfg}: [transmission] friction_mu is retired and ignored\n"
+    # in process the warning is still raised, and the formatter is put back
+    formatter = warnings.formatwarning
+    with pytest.warns(UserWarning, match="friction_mu is retired"):
+        assert run(argv) == 0
+    assert warnings.formatwarning is formatter
+    capsys.readouterr()
 
 
 def test_retired_config_keys_change_no_output(tmp_path, capsys, corpus_dir, retired_config):

@@ -66,6 +66,23 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(path)
 
 
+def test_default_section_rejected(tmp_path):
+    # alone it was dropped without a word; next to [load] its key was "unknown"
+    path = tmp_path / "toolkit.ini"
+    for text in ("[DEFAULT]\ngear_ratio = 100\n",
+                 "[DEFAULT]\ngear_ratio = 100\n[load]\nhandheld_mass_kg = 0.3\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"toolkit.ini: a \[DEFAULT\] section is not"):
+            load_config(path)
+
+
+def test_undecodable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "toolkit.ini"
+    path.write_bytes(b"[load]\nhandheld_mass_kg = 0.3\xff\n")
+    with pytest.raises(ConfigError, match=r"toolkit.ini: .*can't decode byte 0xff"):
+        load_config(path)
+
+
 def test_invalid_values_rejected(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_text("[transmission]\nefficiency = 1.5\n")

@@ -125,6 +125,16 @@ def test_trial_log_round_trip(tmp_path):
     assert log.button == again.button
 
 
+def test_csv_reader_rejects_undecodable_or_oversized_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,1\xff,2,\n")
+    with pytest.raises(DataError, match=r"t.csv:3: not UTF-8 text"):
+        fileio.read_trial_log(path)
+    path.write_text("t_s,angle_deg,current_mA,button\n0," + "1" * 200_000 + ",2,\n")
+    with pytest.raises(DataError, match=r"t.csv:2: field larger than field limit"):
+        fileio.read_trial_log(path)
+
+
 def test_likert_reader(tmp_path):
     path = tmp_path / "likert.csv"
     path.write_text("participant,item,score\nP1,size,3\nP2,weight,7\n")
@@ -154,6 +164,17 @@ def test_report_rendering_is_deterministic(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(DataError, match="object"):
         fileio.read_report(path)
+
+
+def test_report_reader_rejects_undecodable_or_unparsable_json(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_bytes(b'{"a":\n "\xff"}\n')
+    with pytest.raises(DataError, match=r"r.json:2: not UTF-8 text"):
+        fileio.read_report(path)
+    for text in ('{"n": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000):
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"r.json: malformed JSON"):
+            fileio.read_report(path)
 
 
 def test_float_rounding_examples():

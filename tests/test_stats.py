@@ -1,11 +1,11 @@
 import math
 
 import pytest
-import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from wristkit.errors import DomainError
-from wristkit.stats import chi2_survival, regularized_upper_gamma
+from wristkit.stats import chi2_survival
 
 import oracles
 
@@ -38,30 +38,28 @@ def test_survival_decreases_with_statistic():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_gamma_against_scipy():
-    for a in (0.5, 1.0, 2.5, 10.0, 50.0):
-        for x in (0.0, 0.1, a / 2, a + 1.0, 5 * a):
-            assert regularized_upper_gamma(a, x) == pytest.approx(
-                scipy.special.gammaincc(a, x), rel=1e-10, abs=1e-300)
-
-
-def test_gamma_complements_to_one():
-    for a, x in ((1.0, 0.3), (3.0, 2.9), (8.0, 11.0)):
-        q = regularized_upper_gamma(a, x)
-        p = scipy.special.gammainc(a, x)
-        assert p + q == pytest.approx(1.0, rel=1e-12)
-
-
 def test_invalid_arguments():
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(0.0, 1.0)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(-2.0, 1.0)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(1.0, -0.5)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(math.nan, 1.0)
     with pytest.raises(DomainError):
         chi2_survival(1.0, 0)
     with pytest.raises(DomainError):
         chi2_survival(math.inf, 2)
+    with pytest.raises(DomainError, match="integer"):
+        chi2_survival(1.0, 2.5)
+    with pytest.raises(DomainError, match="integer"):
+        chi2_survival(1.0, math.nan)
+
+
+def test_deep_tail_does_not_underflow():
+    # exp(-750) underflows to 0, yet the df = 100 tail at 1500 is ~1e-248
+    expected = scipy.stats.chi2.sf(1500.0, 100)
+    assert expected > 1e-260
+    assert chi2_survival(1500.0, 100) == pytest.approx(expected, rel=1e-10)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(df=st.integers(1, 100),
+       statistic=st.floats(0.0, 1400.0, allow_nan=False, allow_infinity=False))
+def test_matches_scipy_for_integer_df(df, statistic):
+    expected = scipy.stats.chi2.sf(statistic, df)
+    if expected > 1e-290:
+        assert chi2_survival(statistic, df) == pytest.approx(expected, rel=1e-10)
