@@ -164,17 +164,18 @@ def cmd_analyze(cfg, args) -> int:
     for path in sorted(trial_dir.iterdir(), key=lambda p: p.name):
         if not path.is_file():
             continue
-        if path.name == "likert.csv":
-            likert = fileio.read_likert_responses(path)
-            continue
-        meta = fileio.parse_trial_filename(path.name)
-        if meta is None:
-            continue
-        if meta in first_file:
-            rejected.append((path.name, f"same condition and trial index as {first_file[meta]}"))
-            continue
-        first_file[meta] = path.name
-        try:
+        try:  # a bad trial log or likert.csv is rejected; the study goes on
+            if path.name == "likert.csv":
+                likert = fileio.read_likert_responses(path)
+                continue
+            meta = fileio.parse_trial_filename(path.name)
+            if meta is None:
+                continue
+            if meta in first_file:
+                rejected.append((path.name,
+                                 f"same condition and trial index as {first_file[meta]}"))
+                continue
+            first_file[meta] = path.name
             log = fileio.read_trial_log(path, meta)
             cleaned, fraction = trials.clean_interpolate(
                 log, cfg.angle_bounds, cfg.max_interpolated_fraction)

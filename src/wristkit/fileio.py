@@ -52,29 +52,6 @@ def _read_text(path) -> str:
         raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
 
 
-def _rows(path, expected_header):
-    """Yield (line_no, row) for a CSV file after checking its header."""
-    path = Path(path)
-    reader = csv.reader(_read_text(path).splitlines())
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        if [h.strip() for h in header] != expected_header:
-            raise DataError(
-                f"{path}:1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise DataError(f"{path}:{line_no}: expected {len(expected_header)} "
-                                f"fields, got {len(row)}")
-            yield line_no, [cell.strip() for cell in row]
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def _write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
     directory and ``os.replace``, so a failed write never leaves half a file.
@@ -95,22 +72,60 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-def _parse_float(path, line_no, name, text):
+def _records(path, header, parse) -> list:
+    """``parse(cells)`` of each data row of CSV file ``path``, after the header
+    check; all-blank rows are skipped, cells stripped, field counts checked.  A
+    ``ValueError`` from ``parse`` (a :class:`DomainError` is one) or a CSV error
+    becomes a :class:`DataError` naming the file and the line the row ends on."""
+    path = Path(path)
+    reader = csv.reader(_read_text(path).splitlines())
+    records = []
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        if [h.strip() for h in first] != header:
+            raise DataError(f"{path}:1: expected header {','.join(header)!r}, "
+                            f"got {','.join(first)!r}")
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+            records.append(parse(cells))
+    except (csv.Error, ValueError) as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return records
+
+
+def _number(name, text, blank=None) -> float:
+    """``text`` as a float; an empty cell is ``blank`` when one is given."""
+    if blank is not None and not text:
+        return blank
     try:
         return float(text)
     except ValueError:
-        raise DataError(f"{path}:{line_no}: {name} is not a number: {text!r}") from None
+        raise ValueError(f"{name} is not a number: {text!r}") from None
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` (sequences of cell strings) as CSV lines."""
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # torque curves
 # ---------------------------------------------------------------------------
 
+def _curve_point(cells) -> tuple:
+    return _number("angle_rad", cells[0]), _number("moment_Nm", cells[1])
+
+
 def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
-    angles, moments = [], []
-    for line_no, row in _rows(path, _CURVE_HEADER):
-        angles.append(_parse_float(path, line_no, "angle_rad", row[0]))
-        moments.append(_parse_float(path, line_no, "moment_Nm", row[1]))
+    points = _records(path, _CURVE_HEADER, _curve_point)
+    angles, moments = zip(*points) if points else ((), ())
     try:
         return TorqueCurve(np.asarray(angles), np.asarray(moments), posture_label)
     except DomainError as exc:
@@ -118,30 +133,26 @@ def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
 
 
 def write_torque_curve(path, curve: TorqueCurve) -> None:
-    lines = [",".join(_CURVE_HEADER)]
-    for angle, moment in zip(curve.angles, curve.moments):
-        lines.append(f"{float(angle)!r},{float(moment)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, _CURVE_HEADER, ((repr(float(angle)), repr(float(moment)))
+                                     for angle, moment in zip(curve.angles, curve.moments)))
 
 
 # ---------------------------------------------------------------------------
 # spring catalogs
 # ---------------------------------------------------------------------------
 
+def _catalog_entry(cells) -> SpringCatalogEntry:
+    name, stiffness = cells
+    if not name:
+        raise ValueError("empty spring name")
+    return SpringCatalogEntry(name, _number("stiffness_Nmm_per_deg", stiffness))
+
+
 def read_spring_catalog(path) -> tuple:
-    entries = []
-    for line_no, row in _rows(path, _CATALOG_HEADER):
-        name = row[0]
-        if not name:
-            raise DataError(f"{path}:{line_no}: empty spring name")
-        stiffness = _parse_float(path, line_no, "stiffness_Nmm_per_deg", row[1])
-        try:
-            entries.append(SpringCatalogEntry(name, stiffness))
-        except DomainError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
+    entries = tuple(_records(path, _CATALOG_HEADER, _catalog_entry))
     if not entries:
         raise DataError(f"{path}: catalog has no entries")
-    return tuple(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -158,59 +169,52 @@ def parse_trial_filename(name: str) -> TrialMeta | None:
     if match is None:
         return None
     try:
-        return TrialMeta(
-            participant="P" + match["participant"],
-            posture="POS" + match["posture"],
-            load=match["load"],
-            spring=match["spring"],
-            trial_index=int(match["trial"]),
-        )
+        return TrialMeta("P" + match["participant"], "POS" + match["posture"],
+                         match["load"], match["spring"], int(match["trial"]))
     except DomainError:
         return None
 
 
+def _trial_sample(cells) -> tuple:
+    t, angle, current, button = cells
+    sample = (_number("t_s", t), _number("angle_deg", angle, math.nan),
+              _number("current_mA", current, math.nan), button)
+    if button not in BUTTONS:
+        raise ValueError(f"unknown button {button!r}")
+    return sample
+
+
 def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
     """Read a trial log; empty angle/current cells become NaN (missing)."""
-    time, angle, current, button = [], [], [], []
-    for line_no, row in _rows(path, _TRIAL_HEADER):
-        time.append(_parse_float(path, line_no, "t_s", row[0]))
-        angle.append(_parse_float(path, line_no, "angle_deg", row[1])
-                     if row[1] else math.nan)
-        current.append(_parse_float(path, line_no, "current_mA", row[2])
-                       if row[2] else math.nan)
-        if row[3] not in BUTTONS:
-            raise DataError(f"{path}:{line_no}: unknown button {row[3]!r}")
-        button.append(row[3])
-    if not time:
+    samples = _records(path, _TRIAL_HEADER, _trial_sample)
+    if not samples:
         raise DataError(f"{path}: trial log has no samples")
+    time, angle, current, button = zip(*samples)
     try:
-        return TrialLog(np.asarray(time), np.asarray(angle), np.asarray(current),
-                        tuple(button), meta)
+        return TrialLog(np.asarray(time), np.asarray(angle), np.asarray(current), button, meta)
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_trial_log(path, log: TrialLog) -> None:
-    lines = [",".join(_TRIAL_HEADER)]
-    for t, a, i, b in zip(log.time, log.angle_deg, log.current_ma, log.button):
-        a_text = "" if not math.isfinite(a) else f"{a:g}"
-        i_text = "" if not math.isfinite(i) else f"{i:g}"
-        lines.append(f"{t:g},{a_text},{i_text},{b}")
-    _write_text(path, "\n".join(lines) + "\n")
+    def cell(value):  # a finite value reads back bit for bit; any other is blank
+        return repr(float(value)) if math.isfinite(value) else ""
+    _write_csv(path, _TRIAL_HEADER,
+               ((cell(t), cell(a), cell(i), b)
+                for t, a, i, b in zip(log.time, log.angle_deg, log.current_ma, log.button)))
+
+
+def _likert_response(cells) -> LikertResponse:
+    participant, item, score = cells
+    try:
+        value = int(score)
+    except ValueError:
+        raise ValueError(f"score is not an integer: {score!r}") from None
+    return LikertResponse(participant, item, value)
 
 
 def read_likert_responses(path) -> tuple:
-    responses = []
-    for line_no, row in _rows(path, _LIKERT_HEADER):
-        try:
-            score = int(row[2])
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: score is not an integer: {row[2]!r}") from None
-        try:
-            responses.append(LikertResponse(row[0], row[1], score))
-        except DomainError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-    return tuple(responses)
+    return tuple(_records(path, _LIKERT_HEADER, _likert_response))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +274,7 @@ def _check_rows(path, where, node, depth, keys) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def write_plot_csvs(report: dict, out_dir) -> list:
@@ -283,26 +285,17 @@ def write_plot_csvs(report: dict, out_dir) -> list:
     """
     out_dir = Path(out_dir)
     written = []
-
     for fname, section in (("rom_boxplot.csv", "rom_total_deg"),
                            ("torque_boxplot.csv", "tau_rms_nm")):
         groups = report.get(section, {})
-        lines = ["spring," + ",".join(_BOX_KEYS)]
-        for spring in sorted(groups):
-            q = groups[spring]
-            lines.append(",".join([spring] + [_fmt(q[k]) for k in _BOX_KEYS]))
-        path = out_dir / fname
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
-
+        written.append(out_dir / fname)
+        _write_csv(written[-1], ["spring", *_BOX_KEYS],
+                   ([spring] + [_fmt(groups[spring][k]) for k in _BOX_KEYS]
+                    for spring in sorted(groups)))
     repeat = report.get("repeatability", {})
-    lines = ["spring,posture,mean_delta_deg,sd_delta_deg,n"]
-    for spring in sorted(repeat):
-        for posture in sorted(repeat[spring]):
-            cell = repeat[spring][posture]
-            lines.append(",".join([spring, posture, _fmt(cell["mean"]),
-                                   _fmt(cell["sd"]), _fmt(cell["n"])]))
-    path = out_dir / "repeatability.csv"
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
+    written.append(out_dir / "repeatability.csv")
+    _write_csv(written[-1], ["spring", "posture", "mean_delta_deg", "sd_delta_deg", "n"],
+               ([spring, posture, _fmt(cell["mean"]), _fmt(cell["sd"]), _fmt(cell["n"])]
+                for spring in sorted(repeat)
+                for posture, cell in sorted(repeat[spring].items())))
     return written

@@ -9,23 +9,28 @@ x = statistic / 2,
 
 where a runs over 0, 1, ... (even df) or 1/2, 3/2, ... (odd df) below
 df / 2.  Each term is evaluated in log space, so a p-value a float can
-hold never underflows on the way; the cost grows linearly with df.
+hold never underflows on the way.  It costs one term per half unit of df,
+so df is capped at ``MAX_DF``, far above what a rank test on a study needs.
 """
 
 import math
 
 from .errors import DomainError
 
+MAX_DF = 10**6
+
 
 def chi2_survival(statistic: float, df: int) -> float:
     """P(X >= statistic) for X ~ chi-squared with ``df`` degrees of freedom.
 
-    For df = 2 this reduces to exp(-statistic / 2), a handy cross-check.
+    ``df`` is an integer in [1, ``MAX_DF``]; df = 2 gives exp(-statistic / 2).
     """
     if df <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if not float(df).is_integer():
         raise DomainError(f"degrees of freedom must be an integer, got {df}")
+    if df > MAX_DF:
+        raise DomainError(f"degrees of freedom must be at most {MAX_DF}, got {df}")
     if not math.isfinite(statistic):
         raise DomainError(f"statistic must be finite, got {statistic}")
     x = 0.5 * statistic

@@ -188,6 +188,21 @@ def test_analyze_rejects_an_undecodable_trial_log(tmp_path, capsys, corpus_dir):
     capsys.readouterr()
 
 
+def test_analyze_rejects_a_bad_likert_file(tmp_path, capsys, corpus_dir):
+    # a bad likert.csv is rejected like a bad trial log; the study still runs
+    work = tmp_path / "trials"
+    shutil.copytree(corpus_dir, work)
+    (work / "likert.csv").write_text("participant,item,score\nP1,size,eleven\n")
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "likert" not in report
+    assert {"file": "likert.csv",
+            "reason": f"{work / 'likert.csv'}:2: score is not an integer: 'eleven'"
+            } in report["rejected"]
+    assert capsys.readouterr().err == ""
+
+
 def test_warnings_print_as_one_line(tmp_path, capsys):
     cfg = tmp_path / "old.ini"
     cfg.write_text("[transmission]\nfriction_mu = 0.1\n")

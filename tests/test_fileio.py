@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wristkit.biomech import TorqueCurve
 from wristkit.errors import DataError
+from wristkit.trials import BUTTONS, TrialLog
 from wristkit import fileio
 
 import corpus
@@ -123,6 +125,34 @@ def test_trial_log_round_trip(tmp_path):
     assert np.array_equal(log.angle_deg, again.angle_deg, equal_nan=True)
     assert np.array_equal(log.current_ma, again.current_ma, equal_nan=True)
     assert log.button == again.button
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CHANNEL = st.one_of(_FINITE, st.just(math.nan))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(samples=st.lists(st.tuples(_FINITE, _CHANNEL, _CHANNEL, st.sampled_from(BUTTONS)),
+                        min_size=1, max_size=20, unique_by=lambda sample: sample[0]))
+@example(samples=[(10000.0, 1.2345678, math.nan, ""), (10000.01, 0.0, 1.0, "B2")])
+def test_trial_log_write_then_read_is_exact(tmp_path_factory, samples):
+    time, angle, current, button = zip(*sorted(samples))
+    log = TrialLog(np.array(time), np.array(angle), np.array(current), button)
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    fileio.write_trial_log(path, log)
+    back = fileio.read_trial_log(path)
+    assert np.array_equal(back.time, log.time)
+    assert np.array_equal(back.angle_deg, log.angle_deg, equal_nan=True)
+    assert np.array_equal(back.current_ma, log.current_ma, equal_nan=True)
+    assert back.button == log.button
+
+
+def test_row_error_names_the_line_after_a_multi_line_cell(tmp_path):
+    # the quoted cell opened on line 2 closes on line 3, so the bad row is line 5
+    path = tmp_path / "t.csv"
+    path.write_text('t_s,angle_deg,current_mA,button\n"1\n",2,3,\n2,1,1,\nx,1,1,\n')
+    with pytest.raises(DataError, match=r"t\.csv:5: t_s is not a number: 'x'$"):
+        fileio.read_trial_log(path)
 
 
 def test_csv_reader_rejects_undecodable_or_oversized_cells(tmp_path):

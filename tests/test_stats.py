@@ -4,6 +4,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from wristkit import stats
 from wristkit.errors import DomainError
 from wristkit.stats import chi2_survival
 
@@ -47,6 +48,16 @@ def test_invalid_arguments():
         chi2_survival(1.0, 2.5)
     with pytest.raises(DomainError, match="integer"):
         chi2_survival(1.0, math.nan)
+
+
+def test_degrees_of_freedom_are_capped():
+    # one term per half unit of df: an unbounded df would never return
+    with pytest.raises(DomainError, match="at most"):
+        chi2_survival(1.0, 10**7)
+    for df in (stats.MAX_DF + 1, 1e18):
+        with pytest.raises(DomainError, match="at most"):
+            chi2_survival(1.0, df)
+    assert chi2_survival(1.0, stats.MAX_DF) == 1.0
 
 
 def test_deep_tail_does_not_underflow():
