@@ -183,6 +183,8 @@ def cmd_analyze(cfg, args) -> int:
         except DataError as exc:
             rejected.append((path.name, str(exc)))
     if not metrics:
+        for name, reason in rejected:
+            print(f"rejected {name}: {reason}", file=sys.stderr)
         raise DataError(f"no usable trial logs in {trial_dir}")
 
     report = trials.aggregate_report(metrics, cfg.gearing, rejected, likert)

@@ -37,6 +37,7 @@ _CURVE_HEADER = ["angle_rad", "moment_Nm"]
 _CATALOG_HEADER = ["name", "stiffness_Nmm_per_deg"]
 _TRIAL_HEADER = ["t_s", "angle_deg", "current_mA", "button"]
 _LIKERT_HEADER = ["participant", "item", "score"]
+_NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 
 
@@ -184,12 +185,44 @@ def _trial_sample(cells) -> tuple:
     return sample
 
 
+def _trial_columns(text):
+    """The four columns of a plainly written trial log, or None for any other
+    text: a quote, CR, tab or space, another header, a row of other than four
+    cells, a line over the CSV field limit, an unknown button or a number
+    ``float`` rejects.  Where it answers, the row reader gives the same values."""
+    if any(char in text for char in '"\r\t '):
+        return None
+    lines = text.splitlines()  # the row reader's line breaks, not only "\n"
+    rows = [line for line in lines[1:] if line and line != ",,,"]
+    body = "\n".join(rows)
+    separators = body.encode().translate(None, _NOT_COMMA_OR_LF)  # ",,," per four-cell row
+    if (lines[:1] != [",".join(_TRIAL_HEADER)] or not rows
+            or separators != b"\n".join([b",,,"] * len(rows))
+            or max(map(len, rows)) > csv.field_size_limit()):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    button = cells[3::4]
+    if not set(BUTTONS).issuperset(button):
+        return None
+    try:
+        return (np.array(cells[0::4], dtype=float),
+                *(np.array([c or "nan" for c in cells[k::4]], dtype=float) for k in (1, 2)),
+                button)
+    except ValueError:
+        return None
+
+
 def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
-    """Read a trial log; empty angle/current cells become NaN (missing)."""
-    samples = _records(path, _TRIAL_HEADER, _trial_sample)
-    if not samples:
-        raise DataError(f"{path}: trial log has no samples")
-    time, angle, current, button = zip(*samples)
+    """Read a trial log; empty angle/current cells become NaN (missing).  A
+    plainly written log is parsed in whole columns; any other goes through the
+    row reader, which names the first bad row."""
+    columns = _trial_columns(_read_text(Path(path)))
+    if columns is None:
+        samples = _records(path, _TRIAL_HEADER, _trial_sample)
+        if not samples:
+            raise DataError(f"{path}: trial log has no samples")
+        columns = zip(*samples)
+    time, angle, current, button = columns
     try:
         return TrialLog(np.asarray(time), np.asarray(angle), np.asarray(current), button, meta)
     except DomainError as exc:
@@ -214,7 +247,10 @@ def _likert_response(cells) -> LikertResponse:
 
 
 def read_likert_responses(path) -> tuple:
-    return tuple(_records(path, _LIKERT_HEADER, _likert_response))
+    responses = tuple(_records(path, _LIKERT_HEADER, _likert_response))
+    if not responses:
+        raise DataError(f"{path}: no responses")
+    return responses
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,10 @@ class TrialLog:
             raise DomainError("timestamps must be finite")
         if n > 1 and not (np.diff(time) > 0).all():
             raise DomainError("timestamps must be strictly increasing")
-        for b in self.button:
-            if b not in BUTTONS:
-                raise DomainError(f"button must be one of {BUTTONS}, got {b!r}")
+        unknown = set(self.button).difference(BUTTONS)
+        if unknown:
+            first = next(b for b in self.button if b in unknown)
+            raise DomainError(f"button must be one of {BUTTONS}, got {first!r}")
 
     def __len__(self) -> int:
         return self.time.size

@@ -203,6 +203,34 @@ def test_analyze_rejects_a_bad_likert_file(tmp_path, capsys, corpus_dir):
     assert capsys.readouterr().err == ""
 
 
+def test_analyze_rejects_a_header_only_likert_file(tmp_path, capsys, corpus_dir):
+    work = tmp_path / "trials"
+    shutil.copytree(corpus_dir, work)
+    (work / "likert.csv").write_text("participant,item,score\n")
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "likert" not in report
+    assert {"file": "likert.csv", "reason": f"{work / 'likert.csv'}: no responses"
+            } in report["rejected"]
+    capsys.readouterr()
+
+
+def test_analyze_with_no_usable_trial_names_every_rejection(tmp_path, capsys):
+    work = tmp_path / "trials"
+    work.mkdir()
+    log = work / "P1_POS1_unloaded_S1_T1.csv"
+    log.write_text("t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,1,2,B9\n")
+    (work / "likert.csv").write_text("participant,item,score\nP1,size,x\n")
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(work), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"rejected {log.name}: {log}:3: unknown button 'B9'",
+        f"rejected likert.csv: {work / 'likert.csv'}:2: score is not an integer: 'x'",
+        f"data error: no usable trial logs in {work}"]
+    assert not out.exists()
+
+
 def test_warnings_print_as_one_line(tmp_path, capsys):
     cfg = tmp_path / "old.ini"
     cfg.write_text("[transmission]\nfriction_mu = 0.1\n")

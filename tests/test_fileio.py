@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,78 @@ def test_csv_reader_rejects_undecodable_or_oversized_cells(tmp_path):
         fileio.read_trial_log(path)
 
 
+def _trial_log_outcome(path):
+    """What ``read_trial_log`` makes of ``path``: the channels' bytes (NaN bits
+    included) and the buttons, or the ``DataError`` message."""
+    try:
+        log = fileio.read_trial_log(path)
+    except DataError as exc:
+        return str(exc)
+    return log.time.tobytes(), log.angle_deg.tobytes(), log.current_ma.tobytes(), log.button
+
+
+def _assert_readers_agree(path):
+    """The column reader and the row reader alone give the same outcome."""
+    with mock.patch.object(fileio, "_trial_columns", lambda text: None):
+        by_rows = _trial_log_outcome(path)
+    assert _trial_log_outcome(path) == by_rows
+    return by_rows
+
+
+_HOSTILE = ["", "1.5", "-3", "1e999", "-inf", "nan", "-nan", "1_0", "\u0661", " 1", "1 ",
+            "\xa0", "\xa01", "1\x1f", "\x0b1", "\x1f", "\x00", '"2"', '"', "\t", "x", "1e",
+            "1,2", ",", "B2", "0x10", "1" * 20]
+_BUTTON_CELLS = [*BUTTONS, "B7", "b2", " B2", "B2\xa0", '"B2"', "B2,", "1"]
+
+
+@st.composite
+def _near_valid_trial_logs(draw):
+    """Trial-log text: increasing times and plausible cells, some of them hostile."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for k in range(n):
+        cells = [f"{k / 100}", draw(st.sampled_from(["", "1.5", "-2.25", "40"])),
+                 draw(st.sampled_from(["", "350", "412.5"])), draw(st.sampled_from(BUTTONS))]
+        if draw(st.integers(0, 5)) == 0:
+            column = draw(st.integers(0, 3))
+            cells[column] = draw(st.sampled_from(_BUTTON_CELLS if column == 3 else _HOSTILE)
+                                 | st.text(max_size=3))
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.sampled_from(["", ",,,", ",,", ",,,,", "\xa0,,,"])))
+    header = "t_s,angle_deg,current_mA,button"
+    header = draw(st.sampled_from([header] * 4 + [header.replace(",", ", ", 1), "\ufeff" + header]))
+    eol = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r", "\x0b", "\u2028"]))
+    return eol.join([header, *rows]) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=_near_valid_trial_logs())
+@example(text='t_s,angle_deg,current_mA,button\n0,"1.5",2,\n0.01,1,2,B2\n')
+@example(text="t_s,angle_deg,current_mA,button\r\n0,1.5,2,\r\n0.01,1,2,B2\r\n")
+@example(text="t_s,angle_deg,current_mA,button\n0, 1.5 ,2,\n0.01,1,2,B2\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1_0,2,\n0.01,1,2,B2\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1,2,,0.01\n1,2,\n")  # 5 + 3 cells
+@example(text="t_s,angle_deg,current_mA,button\n0,\x0b1,2,\n")  # a line break to the row reader
+def test_column_and_row_readers_agree(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.95,n/a,350,", "angle_deg is not a number: 'n/a'"),
+    ("0.95,1.5,350,B7", "unknown button 'B7'")])
+def test_late_bad_row_keeps_its_line_number(tmp_path, row, message):
+    rows = [f"{k / 100},1.5,350,B2" for k in range(100)]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(["t_s,angle_deg,current_mA,button", *rows]) + "\n")
+    assert fileio._trial_columns(path.read_text()) is not None  # plain: read column-wise
+    rows[95] = row  # in the last tenth of the rows, on line 97
+    path.write_text("\n".join(["t_s,angle_deg,current_mA,button", *rows]) + "\n")
+    assert _assert_readers_agree(path) == f"{path}:97: {message}"
+
+
 def test_likert_reader(tmp_path):
     path = tmp_path / "likert.csv"
     path.write_text("participant,item,score\nP1,size,3\nP2,weight,7\n")
@@ -176,6 +249,9 @@ def test_likert_reader(tmp_path):
         fileio.read_likert_responses(path)
     path.write_text("participant,item,score\nP1,size,12\n")
     with pytest.raises(DataError, match="likert.csv:2"):
+        fileio.read_likert_responses(path)
+    path.write_text("participant,item,score\n\n")
+    with pytest.raises(DataError, match=r"likert\.csv: no responses$"):
         fileio.read_likert_responses(path)
 
 

@@ -49,6 +49,14 @@ def test_log_validation():
         TrialLog(np.array([]), np.array([]), np.array([]), [])
 
 
+def test_unknown_button_message_names_the_first_in_sample_order():
+    with pytest.raises(DomainError) as info:
+        TrialLog(np.arange(4) * 0.01, np.zeros(4), np.zeros(4), ["", "B9", "B2", "B7"])
+    assert str(info.value) == "button must be one of ('', 'B2', 'B3', 'B4'), got 'B9'"
+    with pytest.raises(DomainError, match="got 'B7'$"):
+        TrialLog(np.arange(4) * 0.01, np.zeros(4), np.zeros(4), ["B7", "B9", "B7", ""])
+
+
 def test_metrics_rom_sum_invariant():
     with pytest.raises(DomainError):
         TrialMetrics(4.0, 5.0, 10.0, 0.0, 10, 0.0)
