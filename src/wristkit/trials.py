@@ -204,7 +204,9 @@ def clean_interpolate(log: TrialLog,
         good_t = time[~bad]
         angle[bad] = np.interp(time[bad], good_t, angle[~bad])
         current[bad] = np.interp(time[bad], good_t, current[~bad])
-    cleaned = TrialLog(time, angle, current, log.button[keep], log.meta)
+    cleaned = object.__new__(TrialLog)  # a slice of a checked log: no re-check needed
+    cleaned.__dict__.update(time=time, angle_deg=angle, current_ma=current,
+                            button=log.button[keep], meta=log.meta)
     return cleaned, fraction
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -186,8 +187,10 @@ def _assert_readers_agree(path):
 
 _HOSTILE = ["", "1.5", "-3", "1e999", "-inf", "nan", "-nan", "1_0", "\u0661", " 1", "1 ",
             "\xa0", "\xa01", "1\x1f", "\x0b1", "\x1f", "\x00", '"2"', '"', "\t", "x", "1e",
-            "1,2", ",", "B2", "0x10", "1" * 20]
-_BUTTON_CELLS = [*BUTTONS, "B7", "b2", " B2", "B2\xa0", '"B2"', "B2,", "1"]
+            "1,2", ",", "B2", "0x10", "1" * 20, "+3.5", ".5", "5.", "-0", "1E-5", "infinity",
+            "+nan", "nan(1)", "0x1p3", "1d5", "1.2345678901234567"]
+_BUTTON_CELLS = [*BUTTONS, "B7", "b2", " B2", "B2\xa0", '"B2"', "B2,", "1", "\x00", "B2\x00",
+                 "B2\x1c", "B22"]
 
 
 @st.composite
@@ -219,10 +222,47 @@ def _near_valid_trial_logs(draw):
 @example(text="t_s,angle_deg,current_mA,button\n0,1_0,2,\n0.01,1,2,B2\n")
 @example(text="t_s,angle_deg,current_mA,button\n0,1,2,,0.01\n1,2,\n")  # 5 + 3 cells
 @example(text="t_s,angle_deg,current_mA,button\n0,\x0b1,2,\n")  # a line break to the row reader
+@example(text="t_s,angle_deg,current_mA,buttons\n0,1,2,\n")  # another header
+@example(text="t_s,angle_deg,current_mA,button\n0,1,2,B22\n")  # U2 would cut it to B2
+@example(text="t_s,angle_deg,current_mA,button\n0,1,2,B2\x00\n")  # numpy drops a trailing NUL
+# loadtxt strips each of these around a number, where splitlines ends the line
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x0b,2,\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x0c,2,\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x1c,2,\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x1d,2,\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x1e,2,\n")
 def test_column_and_row_readers_agree(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
     _assert_readers_agree(path)
+
+
+_WRITTEN_NUMBER = st.tuples(st.floats(allow_infinity=False),
+                            st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_WRITTEN_NUMBER, min_size=3, max_size=3), min_size=1, max_size=20))
+def test_column_path_reads_each_number_as_float_does(rows):
+    cells = [[fmt(value) for value, fmt in row] for row in rows]
+    text = "\n".join(["t_s,angle_deg,current_mA,button", *(",".join(row) + "," for row in cells)])
+    columns = fileio._trial_columns(text)
+    assert columns is not None
+    for k in range(3):  # compared as bytes, so NaN bits count too
+        assert columns[k].tobytes() == np.array([float(row[k]) for row in cells]).tobytes()
+        assert columns[k].flags.c_contiguous  # a strided view may sum to other bits
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n\n"])
+def test_a_log_without_samples_fails_without_a_warning(tmp_path, capsys, body):
+    path = tmp_path / "t.csv"
+    path.write_text("t_s,angle_deg,current_mA,button\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as info:
+            fileio.read_trial_log(path)
+    assert str(info.value) == f"{path}: trial log has no samples"
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("row, message", [

@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from wristkit import fileio
 from wristkit.errors import DomainError, TrialRejected
 from wristkit.transmission import Gearing
 from wristkit.trials import (FriedmanResult, LikertResponse, TrialLog, TrialMeta,
@@ -138,6 +140,34 @@ def test_clean_preserves_buttons():
                    np.zeros(4), ["", "B2", "B3", ""])
     cleaned, _ = clean_interpolate(log, max_fraction=0.6)
     assert cleaned.button == ("B2", "B3", "")
+
+
+def test_read_then_clean_checks_each_log_once(tmp_path):
+    # clean, repaired inside, and repaired with a dropped first and last sample
+    texts = ["0,1,2,B2\n0.01,2,3,\n0.02,3,4,B3\n",
+             "0,1,2,B2\n0.01,,3,\n0.02,3,,B3\n0.03,4,5,\n",
+             "0,,2,\n0.01,1,3,B2\n0.02,99,4,\n0.03,3,5,B4\n0.04,4,,\n"]
+    checked = []
+    post_init = TrialLog.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    for k, text in enumerate(texts):
+        path = tmp_path / f"t{k}.csv"
+        path.write_text("t_s,angle_deg,current_mA,button\n" + text)
+        with mock.patch.object(TrialLog, "__post_init__", counting):
+            cleaned, _ = clean_interpolate(fileio.read_trial_log(path), max_fraction=0.6)
+        assert len(checked) == k + 1
+        # the check would neither reject nor convert anything in the repaired log
+        again = TrialLog(cleaned.time, cleaned.angle_deg, cleaned.current_ma, cleaned.button)
+        for name in ("time", "angle_deg", "current_ma"):
+            assert getattr(cleaned, name).dtype == float
+            assert getattr(cleaned, name).tobytes() == getattr(again, name).tobytes()
+        assert type(cleaned.button) is tuple and cleaned.button == again.button
+    assert list(cleaned.angle_deg) == [1.0, 2.0, 3.0]
+    assert list(cleaned.current_ma) == [3.0, 4.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
