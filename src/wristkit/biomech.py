@@ -161,7 +161,7 @@ class TorqueCurve:
             raise DomainError("curve must contain at least one sample")
         if not (np.isfinite(angles).all() and np.isfinite(moments).all()):
             raise DomainError("curve samples must be finite")
-        if angles.size > 1 and not (np.diff(angles) > 0).all():
+        if not (angles[1:] > angles[:-1]).all():  # np.diff would overflow at ±1e308
             raise DomainError("curve angles must be strictly increasing")
 
     @classmethod

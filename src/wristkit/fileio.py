@@ -16,7 +16,6 @@ Parse failures raise :class:`DataError` naming the file and line.
 
 import csv
 import errno
-import io
 import json
 import math
 import os
@@ -74,13 +73,13 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-def _records(path, header, parse) -> list:
-    """``parse(cells)`` of each data row of CSV file ``path``, after the header
-    check; all-blank rows are skipped, cells stripped, field counts checked.  A
+def _records(path, text, header, parse) -> list:
+    """``parse(cells)`` of each data row of CSV ``text`` read from ``path``, after the
+    header check; all-blank rows are skipped, cells stripped, field counts checked.  A
     ``ValueError`` from ``parse`` (a :class:`DomainError` is one) or a CSV error
     becomes a :class:`DataError` naming the file and the line the row ends on."""
     path = Path(path)
-    reader = csv.reader(_read_text(path).splitlines())
+    reader = csv.reader(text.splitlines())
     records = []
     try:
         first = next(reader, None)
@@ -99,6 +98,23 @@ def _records(path, header, parse) -> list:
     except (csv.Error, ValueError) as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return records
+
+
+def _plain_table(text, header, dtype):
+    """The ``loadtxt`` table of plainly written CSV ``text``, or None for non-ASCII
+    text, a character of ``_NOT_PLAIN``, another header, no row, an over-long line, a
+    row of another cell count or a number ``loadtxt`` rejects.  ``loadtxt`` parses
+    with the C core of ``float``, so ``_records`` agrees on every table returned."""
+    first, _, body = text.partition("\n")
+    limit = csv.field_size_limit()
+    if (not text.isascii() or any(char in text for char in _NOT_PLAIN)  # "\n" ends lines
+            or first != ",".join(header) or not body.strip("\n")  # loadtxt warns
+            or len(body) > limit and max(map(len, body.split("\n"))) > limit):
+        return None
+    try:
+        return np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except ValueError:
+        return None
 
 
 def _number(name, text, blank=None) -> float:
@@ -126,8 +142,14 @@ def _curve_point(cells) -> tuple:
 
 
 def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
-    points = _records(path, _CURVE_HEADER, _curve_point)
-    angles, moments = zip(*points) if points else ((), ())
+    """A plain curve is read in whole columns, any other by the row reader."""
+    text = _read_text(Path(path))
+    table = _plain_table(text, _CURVE_HEADER, [("angle", float), ("moment", float)])
+    if table is None:
+        points = _records(path, text, _CURVE_HEADER, _curve_point)
+        angles, moments = zip(*points) if points else ((), ())
+    else:  # copies, not strided views into the 16-byte records: fit_linear sums them
+        angles, moments = table["angle"].copy(), table["moment"].copy()
     try:
         return TorqueCurve(np.asarray(angles), np.asarray(moments), posture_label)
     except DomainError as exc:
@@ -135,8 +157,8 @@ def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
 
 
 def write_torque_curve(path, curve: TorqueCurve) -> None:
-    _write_csv(path, _CURVE_HEADER, ((repr(float(angle)), repr(float(moment)))
-                                     for angle, moment in zip(curve.angles, curve.moments)))
+    _write_csv(path, _CURVE_HEADER, zip(map(repr, curve.angles.tolist()),
+                                        map(repr, curve.moments.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +173,7 @@ def _catalog_entry(cells) -> SpringCatalogEntry:
 
 
 def read_spring_catalog(path) -> tuple:
-    entries = tuple(_records(path, _CATALOG_HEADER, _catalog_entry))
+    entries = tuple(_records(path, _read_text(Path(path)), _CATALOG_HEADER, _catalog_entry))
     if not entries:
         raise DataError(f"{path}: catalog has no entries")
     return entries
@@ -187,21 +209,12 @@ def _trial_sample(cells) -> tuple:
 
 
 def _trial_columns(text):
-    """The four columns of a plainly written trial log, or None for non-ASCII text,
-    a character of ``_NOT_PLAIN``, another header, no sample, an over-long line, a
-    row of other than four cells, an unknown button or a number ``loadtxt`` rejects.
-    ``loadtxt`` parses with the C core of ``float``, so the row reader agrees."""
-    header, _, body = text.partition("\n")
-    limit = csv.field_size_limit()
-    if (not text.isascii() or any(char in text for char in _NOT_PLAIN)  # "\n" ends lines
-            or header != ",".join(_TRIAL_HEADER) or not body.strip("\n")  # loadtxt warns
-            or len(body) > limit and max(map(len, body.split("\n"))) > limit):
-        return None
-    body = body.replace(",,", ",nan,").replace(",,", ",nan,")  # blank angle/current
-    try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1, dtype=[
-            ("t", float), ("angle", float), ("current", float), ("button", "U3")])
-    except ValueError:
+    """The four columns of a plain trial log (see ``_plain_table``), or None, also for
+    an unknown button.  A blank angle or current cell is spelled ``nan`` first."""
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,")  # the header holds no ",,"
+    table = _plain_table(text, _TRIAL_HEADER, [
+        ("t", float), ("angle", float), ("current", float), ("button", "U3")])
+    if table is None:
         return None
     button = table["button"].tolist()  # U3: every longer label stays unknown
     if not set(BUTTONS).issuperset(button):
@@ -214,9 +227,10 @@ def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
     """Read a trial log; empty angle/current cells become NaN (missing).  A
     plainly written log is parsed in whole columns; any other goes through the
     row reader, which names the first bad row."""
-    columns = _trial_columns(_read_text(Path(path)))
+    text = _read_text(Path(path))
+    columns = _trial_columns(text)
     if columns is None:
-        samples = _records(path, _TRIAL_HEADER, _trial_sample)
+        samples = _records(path, text, _TRIAL_HEADER, _trial_sample)
         if not samples:
             raise DataError(f"{path}: trial log has no samples")
         columns = zip(*samples)
@@ -245,7 +259,7 @@ def _likert_response(cells) -> LikertResponse:
 
 
 def read_likert_responses(path) -> tuple:
-    responses = tuple(_records(path, _LIKERT_HEADER, _likert_response))
+    responses = tuple(_records(path, _read_text(Path(path)), _LIKERT_HEADER, _likert_response))
     if not responses:
         raise DataError(f"{path}: no responses")
     return responses

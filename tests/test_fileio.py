@@ -15,14 +15,27 @@ from wristkit import fileio
 import corpus
 
 
-def test_torque_curve_round_trip(tmp_path):
-    curve = TorqueCurve(np.linspace(-0.77, 0.52, 50),
-                        np.sin(np.linspace(-0.77, 0.52, 50)) * 0.3, "P2")
-    path = tmp_path / "curve.csv"
-    fileio.write_torque_curve(path, curve)
-    back = fileio.read_torque_curve(path, "P2")
-    assert np.array_equal(back.angles, curve.angles)
-    assert np.array_equal(back.moments, curve.moments)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=20,
+                       unique_by=lambda point: point[0]))
+@example(points=[(-1e308, 1e308), (1e308, -1e308)])  # np.diff of the angles overflows
+@example(points=[(-0.0, -0.0), (5e-324, -5e-324), (0.52, 2.2250738585072014e-308)])
+def test_torque_curve_round_trip(tmp_path_factory, points):
+    angles, moments = zip(*sorted(points))
+    curve = TorqueCurve(np.array(angles), np.array(moments), "P2")
+    path = tmp_path_factory.getbasetemp() / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fileio.write_torque_curve(path, curve)
+        back = fileio.read_torque_curve(path, "P2")
+    assert path.read_text() == "angle_rad,moment_Nm\n" + "".join(
+        f"{a!r},{m!r}\n" for a, m in zip(angles, moments))
+    for column, written in ((back.angles, curve.angles), (back.moments, curve.moments)):
+        assert column.tobytes() == written.tobytes()  # -0.0 keeps its sign
+        assert column.flags.c_contiguous  # fit_linear sums it
     assert back.posture_label == "P2"
 
 
@@ -129,7 +142,6 @@ def test_trial_log_round_trip(tmp_path):
     assert log.button == again.button
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _CHANNEL = st.one_of(_FINITE, st.just(math.nan))
 
 
@@ -177,18 +189,28 @@ def _trial_log_outcome(path):
     return log.time.tobytes(), log.angle_deg.tobytes(), log.current_ma.tobytes(), log.button
 
 
-def _assert_readers_agree(path):
-    """The column reader and the row reader alone give the same outcome."""
-    with mock.patch.object(fileio, "_trial_columns", lambda text: None):
-        by_rows = _trial_log_outcome(path)
-    assert _trial_log_outcome(path) == by_rows
+def _curve_outcome(path):
+    """What ``read_torque_curve`` makes of ``path``: the columns' bytes, or the
+    ``DataError`` message."""
+    try:
+        curve = fileio.read_torque_curve(path)
+    except DataError as exc:
+        return str(exc)
+    return curve.angles.tobytes(), curve.moments.tobytes()
+
+
+def _assert_readers_agree(path, outcome=_trial_log_outcome):
+    """The column reader and the row reader alone give the same ``outcome``."""
+    with mock.patch.object(fileio, "_plain_table", lambda text, header, dtype: None):
+        by_rows = outcome(path)
+    assert outcome(path) == by_rows
     return by_rows
 
 
 _HOSTILE = ["", "1.5", "-3", "1e999", "-inf", "nan", "-nan", "1_0", "\u0661", " 1", "1 ",
             "\xa0", "\xa01", "1\x1f", "\x0b1", "\x1f", "\x00", '"2"', '"', "\t", "x", "1e",
             "1,2", ",", "B2", "0x10", "1" * 20, "+3.5", ".5", "5.", "-0", "1E-5", "infinity",
-            "+nan", "nan(1)", "0x1p3", "1d5", "1.2345678901234567"]
+            "+nan", "nan(1)", "0x1p3", "1d5", "1.2345678901234567", "1\x85", "\u20281"]
 _BUTTON_CELLS = [*BUTTONS, "B7", "b2", " B2", "B2\xa0", '"B2"', "B2,", "1", "\x00", "B2\x00",
                  "B2\x1c", "B22"]
 
@@ -231,10 +253,59 @@ def _near_valid_trial_logs(draw):
 @example(text="t_s,angle_deg,current_mA,button\n0,1\x1c,2,\n")
 @example(text="t_s,angle_deg,current_mA,button\n0,1\x1d,2,\n")
 @example(text="t_s,angle_deg,current_mA,button\n0,1\x1e,2,\n")
+@example(text="t_s,angle_deg,current_mA,button\n0,1\x85,2,\n")  # and non-ASCII ones
 def test_column_and_row_readers_agree(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
     _assert_readers_agree(path)
+
+
+@st.composite
+def _near_valid_curves(draw):
+    """Curve text: increasing angles and plausible moments, some cells hostile and
+    some rows of the wrong shape."""
+    rows = []
+    for k in range(draw(st.integers(1, 12))):
+        cells = [f"{k / 10 - 0.5}", draw(st.sampled_from(["0.25", "-1.5e-3", "0", "7"]))]
+        if draw(st.integers(0, 4)) == 0:
+            cells[draw(st.integers(0, 1))] = draw(st.sampled_from(_HOSTILE) | st.text(max_size=3))
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.sampled_from(["", ",", "0.05", "0.05,1,2", "\xa0,"])))
+    header = "angle_rad,moment_Nm"
+    header = draw(st.sampled_from([header] * 4 + [header.replace(",", ", "), "\ufeff" + header]))
+    eol = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r", "\x0b", "\u2028"]))
+    return eol.join([header, *rows]) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=_near_valid_curves())
+@example(text="angle_rad,moment_Nm\n0,1_0\n0.1,2\n")
+@example(text="angle_rad,moment_Nm\n0, 1 \n0.1,2\n")  # a padded cell
+@example(text="angle_rad,moment_Nm\n0,nan\n0.1,2\n")
+@example(text="angle_rad,moment_Nm\n0,1\ninf,2\n")
+@example(text="angle_rad,moment_Nm\n")  # header only
+@example(text="angle_rad,moment_Nm\n0\u2028,1\n")  # loadtxt strips it, splitlines ends the line
+def test_curve_column_and_row_readers_agree(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "curve.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_readers_agree(path, _curve_outcome)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,x,2,\n",
+     "3: angle_deg is not a number: 'x'"),
+    (fileio.read_torque_curve, "angle_rad,moment_Nm\n0,1\n0.1,1,2\n",
+     "3: expected 2 fields, got 3")],
+    ids=["trial log", "curve"])
+def test_a_malformed_file_is_read_from_disk_once(tmp_path, reader, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with mock.patch.object(fileio, "_read_text", wraps=fileio._read_text) as read_text:
+        with pytest.raises(DataError) as info:
+            reader(path)
+    assert str(info.value) == f"{path}:{message}"
+    assert read_text.call_count == 1
 
 
 _WRITTEN_NUMBER = st.tuples(st.floats(allow_infinity=False),
@@ -253,15 +324,22 @@ def test_column_path_reads_each_number_as_float_does(rows):
         assert columns[k].flags.c_contiguous  # a strided view may sum to other bits
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\n\n\n"])
-def test_a_log_without_samples_fails_without_a_warning(tmp_path, capsys, body):
+@pytest.mark.parametrize("reader, header, message, body", [
+    pytest.param(reader, header, message, body, id=prefix + body)
+    for prefix, reader, header, message in [
+        ("", fileio.read_trial_log, "t_s,angle_deg,current_mA,button", "trial log has no samples"),
+        ("curve", fileio.read_torque_curve, "angle_rad,moment_Nm",
+         "curve must contain at least one sample")]
+    for body in ["", "\n", "\n\n\n"]])
+def test_a_log_without_samples_fails_without_a_warning(tmp_path, capsys, reader, header,
+                                                       message, body):
     path = tmp_path / "t.csv"
-    path.write_text("t_s,angle_deg,current_mA,button\n" + body)
+    path.write_text(header + "\n" + body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError) as info:
-            fileio.read_trial_log(path)
-    assert str(info.value) == f"{path}: trial log has no samples"
+            reader(path)
+    assert str(info.value) == f"{path}: {message}"
     assert capsys.readouterr() == ("", "")
 
 
