@@ -7,8 +7,8 @@ Formats (all plain text, diff-friendly):
 * trial log CSV: header ``t_s,angle_deg,current_mA,button`` at 100 Hz,
   named ``P<participant>_POS<posture>_<load>_<spring>_T<trial>.csv``;
 * Likert responses CSV: header ``participant,item,score``;
-* study/fit reports: JSON with sorted keys and floats rendered at six
-  significant digits, so identical inputs give byte-identical files;
+* study/fit reports: JSON with sorted keys and floats rendered at six significant
+  digits, written piece by piece, so identical inputs give byte-identical files;
 * plot CSVs (box plots, repeatability) with the same float rendering.
 
 Parse failures raise :class:`DataError` naming the file and line.
@@ -20,6 +20,8 @@ import json
 import math
 import os
 import re
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ _TRIAL_HEADER = ["t_s", "angle_deg", "current_mA", "button"]
 _LIKERT_HEADER = ["participant", "item", "score"]
 _NOT_PLAIN = '"\r\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
 
 
 def _read_text(path) -> str:
@@ -53,10 +56,9 @@ def _read_text(path) -> str:
         raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so a failed write never leaves half a file.
-    An ``OSError`` names ``path``, not the temporary file."""
+def _write_text(path, text) -> None:
+    """Write ``text`` (a str or an iterable of strs) to ``path`` via a temporary file beside
+    it and ``os.replace``: a failure never leaves half a file.  An ``OSError`` names ``path``."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -64,7 +66,7 @@ def _write_text(path, text: str) -> None:
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -269,24 +271,47 @@ def read_likert_responses(path) -> tuple:
 # reports and plot data
 # ---------------------------------------------------------------------------
 
-def _round_floats(value):
-    """Recursively re-quantize floats to 6 significant digits."""
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it where ``indent``
+    starts a line, each float first re-quantized to 6 significant digits."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.6g}")
+        text = repr(float(f"{value:.6g}"))
+        return _NON_FINITE.get(text, text)
+    return "".join(_pieces(value, indent, 1))
+
+
+def _pieces(value, indent="\n", depth=2):
+    """``_json(value, indent)`` of a dict, list or tuple in pieces, one per member of its first
+    ``depth`` levels; any other value, or a key that is not a str, is a ``TypeError``."""
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
-    return value
+        brackets, members = "{}", [(encode_basestring_ascii(key) + ": ", value[key])
+                                   for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        brackets, members = "[]", [("", child) for child in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = indent + "  "
+    for n, (prefix, child) in enumerate(members):
+        yield ("," if n else brackets[0]) + inner + prefix
+        deeper = depth > 1 and isinstance(child, (dict, list, tuple))
+        yield from _pieces(child, inner, depth - 1) if deeper else (_json(child, inner),)
+    yield indent + brackets[1] if members else brackets
 
 
 def render_report(report: dict) -> str:
-    """Deterministic JSON text: sorted keys, floats at 6 significant digits."""
-    return json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text, sorted keys and 6-digit floats: ``write_report``'s bytes."""
+    return "".join(_pieces(report)) + "\n"
 
 
 def write_report(path, report: dict) -> None:
-    _write_text(path, render_report(report))
+    """Write the bytes of ``render_report(report)`` one section or trial record at a time."""
+    _write_text(path, chain(_pieces(report), ["\n"]))
 
 
 def read_report(path) -> dict:

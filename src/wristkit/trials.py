@@ -84,7 +84,7 @@ class TrialLog:
             raise DomainError("trial log channels must have equal length")
         if not np.isfinite(time).all():
             raise DomainError("timestamps must be finite")
-        if n > 1 and not (np.diff(time) > 0).all():
+        if not (time[1:] > time[:-1]).all():  # np.diff would overflow at ±1e308
             raise DomainError("timestamps must be strictly increasing")
         unknown = set(self.button).difference(BUTTONS)
         if unknown:

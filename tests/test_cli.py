@@ -95,8 +95,12 @@ def test_fit_to_stdout(tmp_path, capsys):
                                               for a in range(-5, 6)]
     curve_path.write_text("\n".join(fileio_lines) + "\n")
     assert run(["fit", str(curve_path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout)
     assert payload["spring"]["stiffness_nm_per_rad"] == pytest.approx(0.5, rel=1e-9)
+    assert run(["fit", str(curve_path), "--out", str(tmp_path / "design.json")]) == 0
+    assert (tmp_path / "design.json").read_bytes() == stdout.encode()
+    capsys.readouterr()
 
 
 def test_bad_config_exits_3(tmp_path, capsys):

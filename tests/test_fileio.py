@@ -128,6 +128,23 @@ def test_read_trial_log_errors(tmp_path):
         fileio.read_trial_log(path)
 
 
+@pytest.mark.parametrize("times, message", [
+    (("-1e308", "1e308"), None),  # np.diff of these times overflows
+    (("0.01", "0.01"), "timestamps must be strictly increasing"),
+    (("0.02", "0.01"), "timestamps must be strictly increasing")])
+def test_trial_log_time_order_is_checked_without_overflow(tmp_path, times, message):
+    path = tmp_path / "t.csv"
+    path.write_text("t_s,angle_deg,current_mA,button\n" + "".join(f"{t},1,2,\n" for t in times))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert fileio.read_trial_log(path).time.tolist() == [-1e308, 1e308]
+            return
+        with pytest.raises(DataError) as info:
+            fileio.read_trial_log(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_trial_log_round_trip(tmp_path):
     src = tmp_path / "P3_POS2_unloaded_S2_T1.csv"
     angle, current, buttons = corpus._trace_cents(5000, 420)
@@ -401,6 +418,37 @@ def test_report_reader_rejects_undecodable_or_unparsable_json(tmp_path):
             fileio.read_report(path)
 
 
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\udc80é😀')),
+               max_size=6)
+_FLOATS = st.one_of(st.floats(), st.floats().map(np.float64), st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1e16,
+     999999.5, 9.999995e-5]))
+_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200), _FLOATS,
+              _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=st.dictionaries(_TEXT, _TREES, max_size=5))
+def test_report_rendering_matches_the_json_module(tmp_path_factory, tree):
+    text = corpus.render(tree)  # json.dumps of the rounded copy, the report contract
+    assert fileio.render_report(tree) == text
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    fileio.write_report(path, tree)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("tree", [
+    {"a": object()}, {"a": [1.0, {"b": (2, object())}]}, {"a": np.int64(1)},
+    {1: 2.0}, {"a": {None: 1}}, {"a": {"b": 1, 2: 3}}])
+def test_report_rendering_refuses_what_json_cannot_write(tree):
+    with pytest.raises(TypeError):
+        fileio.render_report(tree)
+
+
 def test_float_rounding_examples():
     rendered = fileio.render_report({
         "x": 0.7975034567, "y": 123456.789, "tiny": 1.2345678e-7, "i": 42})
@@ -437,6 +485,14 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     # an unencodable character fails the write after the temporary file is open
     with pytest.raises(UnicodeEncodeError):
         fileio._write_text(target, "new \udc80 report\n")
+    assert target.read_bytes() == b"old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    # a report that fails to render part way through is never half written
+    report = {"n_trials": 3, "trials": [{"rom_total_deg": 50.0}, {"rom_total_deg": 51.0},
+                                        {"rom_total_deg": object()}]}
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        fileio.write_report(target, report)
     assert target.read_bytes() == b"old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
