@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 config error.
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -161,27 +162,27 @@ def cmd_analyze(cfg, args) -> int:
         raise DataError(f"not a directory: {trial_dir}")
     metrics, rejected, likert = [], [], ()
     first_file = {}  # trial meta -> the first file name that parsed to it
-    for path in sorted(trial_dir.iterdir(), key=lambda p: p.name):
+    for name in sorted(os.listdir(trial_dir)):  # names, not a Path per file held at once
+        path = trial_dir / name
         if not path.is_file():
             continue
         try:  # a bad trial log or likert.csv is rejected; the study goes on
-            if path.name == "likert.csv":
+            if name == "likert.csv":
                 likert = fileio.read_likert_responses(path)
                 continue
-            meta = fileio.parse_trial_filename(path.name)
+            meta = fileio.parse_trial_filename(name)
             if meta is None:
                 continue
             if meta in first_file:
-                rejected.append((path.name,
-                                 f"same condition and trial index as {first_file[meta]}"))
+                rejected.append((name, f"same condition and trial index as {first_file[meta]}"))
                 continue
-            first_file[meta] = path.name
+            first_file[meta] = name
             log = fileio.read_trial_log(path, meta)
             cleaned, fraction = trials.clean_interpolate(
                 log, cfg.angle_bounds, cfg.max_interpolated_fraction)
             metrics.append(trials.trial_metrics(cleaned, cfg.gearing, fraction))
         except DataError as exc:
-            rejected.append((path.name, str(exc)))
+            rejected.append((name, str(exc)))
     if not metrics:
         for name, reason in rejected:
             print(f"rejected {name}: {reason}", file=sys.stderr)

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -189,14 +190,17 @@ def parse_trial_filename(name: str) -> TrialMeta | None:
     """Extract the experimental condition from a trial file name.
 
     Returns None for file names not following the convention; callers
-    treat those as non-trial files rather than errors.
+    treat those as non-trial files rather than errors.  The labels are
+    interned, so the trials of a study share one string per label.
     """
     match = TRIAL_NAME_RE.match(name)
     if match is None:
         return None
     try:
-        return TrialMeta("P" + match["participant"], "POS" + match["posture"],
-                         match["load"], match["spring"], int(match["trial"]))
+        return TrialMeta(sys.intern("P" + match["participant"]),
+                         sys.intern("POS" + match["posture"]),
+                         sys.intern(match["load"]), sys.intern(match["spring"]),
+                         int(match["trial"]))
     except DomainError:
         return None
 

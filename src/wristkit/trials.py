@@ -36,7 +36,7 @@ DEFAULT_MAX_INTERP_FRACTION = 0.05
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialMeta:
     """Experimental condition identifying one trial."""
 
@@ -95,7 +95,7 @@ class TrialLog:
         return self.time.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialMetrics:
     """Scalar outcomes of one cleaned trial."""
 
@@ -218,14 +218,15 @@ def rom_metrics(log: TrialLog) -> tuple:
     """(rom_ab, rom_ad, rom_total) in degrees from a cleaned angle trace.
 
     Abduction ROM is the peak positive excursion, adduction ROM the peak
-    negative excursion magnitude; each clamps at zero when the trace
+    negative excursion magnitude; each clamps at +0.0 when the trace
     never crosses to that side.
     """
     angle = log.angle_deg
     if not np.isfinite(angle).all():
         raise DomainError("rom_metrics needs a cleaned log (finite angles)")
-    rom_ab = max(float(angle.max()), 0.0)
-    rom_ad = max(-float(angle.min()), 0.0)
+    # max keeps its first argument on a tie, so a -0.0 excursion clamps to +0.0
+    rom_ab = max(0.0, float(angle.max()))
+    rom_ad = max(0.0, -float(angle.min()))
     return rom_ab, rom_ad, rom_ab + rom_ad
 
 
@@ -339,11 +340,29 @@ def likert_summary(responses) -> dict:
 # study-level aggregation
 # ---------------------------------------------------------------------------
 
+def _percentile(ordered, q) -> float:
+    """The ``q`` quantile (0 <= q <= 1) of the sorted list ``ordered`` by
+    ``np.percentile``'s default ("linear") rule, bit for bit: the same two
+    neighbours (the last value twice once the index reaches n - 1), weight and
+    ``_lerp`` formula.  ``np.percentile`` itself imports ``numpy.ma`` on first use."""
+    n = len(ordered)
+    index = (n - 1) * q
+    lo = hi = -1
+    if index < n - 1:
+        lo = math.floor(index)
+        hi = lo + 1
+    t = index - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _five_number(values) -> dict:
-    arr = np.sort(np.asarray(values, dtype=float))
-    q = np.percentile(arr, [0, 25, 50, 75, 100])
-    return {"min": float(q[0]), "q1": float(q[1]), "median": float(q[2]),
-            "q3": float(q[3]), "max": float(q[4]), "n": int(arr.size)}
+    ordered = sorted(map(float, values))
+    summary = {key: _percentile(ordered, q) for key, q in (
+        ("min", 0.0), ("q1", 0.25), ("median", 0.5), ("q3", 0.75), ("max", 1.0))}
+    summary["n"] = len(ordered)
+    return summary
 
 
 def _mean_sd(values) -> dict:

@@ -253,6 +253,25 @@ def test_warnings_print_as_one_line(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_does_not_import_numpy_ma(tmp_path, corpus_dir):
+    """numpy.ma adds to a fresh process's memory and start-up time, and the
+    study statistics need no masked array."""
+    code = ("import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from wristkit.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(eager, rc, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "analyze", str(corpus_dir), "--out",
+         str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    eager, rc, imported = done.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself (numpy 1.x)")
+    assert (rc, imported) == ("0", "False"), done.stderr
+
+
 def test_retired_config_keys_change_no_output(tmp_path, capsys, corpus_dir, retired_config):
     path, expected = retired_config
     outputs = {}

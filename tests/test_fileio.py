@@ -91,6 +91,11 @@ def test_parse_trial_filename():
 
     meta = fileio.parse_trial_filename("P12_POS2_unloaded_S3_T1.csv")
     assert meta is not None and meta.participant == "P12" and meta.spring == "S3"
+    # a study's trials share their label strings and hold no per-record dict
+    again = fileio.parse_trial_filename("P12_POS2_unloaded_S3_T2.csv")
+    assert all(getattr(again, label) is getattr(meta, label)
+               for label in ("participant", "posture", "load", "spring"))
+    assert not hasattr(meta, "__dict__")
 
     for name in ("likert.csv", "report.json", "P1_POS1_S1_T1.csv",
                  "P1_POS1_heavy_S1_T1.csv", "P1_POSX_unloaded_S1_T1.csv",

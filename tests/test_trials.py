@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from unittest import mock
@@ -5,8 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from wristkit import fileio
+from wristkit import fileio, trials
 from wristkit.errors import DomainError, TrialRejected
 from wristkit.transmission import Gearing
 from wristkit.trials import (FriedmanResult, LikertResponse, TrialLog, TrialMeta,
@@ -178,6 +180,19 @@ def test_rom_examples():
     assert rom_metrics(make_log([-10.0, 0.0, 20.0, 5.0, -15.0])) == (20.0, 15.0, 35.0)
     assert rom_metrics(make_log([0.0, 0.0, 0.0])) == (0.0, 0.0, 0.0)
     assert rom_metrics(make_log([5.0, 10.0])) == (10.0, 0.0, 10.0)
+
+
+def test_rom_components_clamp_at_positive_zero():
+    """A trace whose lowest angle is 0.0 (highest -0.0) has no adduction
+    (abduction) excursion: the report says 0.0, not -0.0."""
+    logs = [make_log([0.0, 5.0, 10.0], meta=meta_for(trial=1)),
+            make_log([-10.0, -5.0, -0.0], meta=meta_for(trial=2))]
+    with pytest.warns(UserWarning, match="omitted"):
+        report = aggregate_report([trial_metrics(log, GEAR) for log in logs], GEAR)
+    records = json.loads(fileio.render_report(report))["trials"]
+    rows = [(r["rom_ab_deg"], r["rom_ad_deg"]) for r in records]
+    assert [tuple(v.hex() for v in row) for row in rows] == [
+        ((10.0).hex(), (0.0).hex()), ((0.0).hex(), (10.0).hex())]
 
 
 def test_rom_matches_scan_oracle():
@@ -394,6 +409,29 @@ def test_aggregate_report_structure():
     for record in report["trials"]:
         assert record["joint_torque_nm"] == pytest.approx(
             record["tau_rms_nm"] * 128 * 0.78, rel=1e-12)
+
+
+# finite report values of 1e-5 to 1e5 in magnitude, or at two decimals; never -0.0
+_REPORT_VALUE = st.one_of(
+    st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)),
+              st.floats(min_value=1e-5, max_value=1e5)),
+    st.integers(-10**7, 10**7).map(lambda cents: cents / 100))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_five_number_matches_numpy_percentile(data):
+    """The box-plot summary is np.percentile's on the sorted values, bit for bit,
+    also with ties.  -0.0 is left out: np.percentile partitions its input, so
+    with mixed signed zeros it may return either; the values summarized
+    (rom_total, tau_rms) are never -0.0."""
+    pool = data.draw(st.lists(_REPORT_VALUE, min_size=1, max_size=80))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    want = np.percentile(np.sort(values), [0, 25, 50, 75, 100]).tolist()
+    got = trials._five_number(values)
+    assert [got[key].hex() for key in ("min", "q1", "median", "q3", "max")] == [
+        v.hex() for v in want]
+    assert got["n"] == len(values)
 
 
 def test_aggregate_single_trial_has_no_friedman():
