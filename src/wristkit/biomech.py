@@ -164,21 +164,6 @@ class TorqueCurve:
         if not (angles[1:] > angles[:-1]).all():  # np.diff would overflow at ±1e308
             raise DomainError("curve angles must be strictly increasing")
 
-    @classmethod
-    def from_samples(cls, pairs, posture_label: str = "") -> "TorqueCurve":
-        """Build from (angle, moment) pairs; sorts and drops duplicate angles."""
-        pairs = list(pairs)
-        if not pairs:
-            raise DomainError("curve must contain at least one sample")
-        pairs.sort(key=lambda p: p[0])
-        angles, moments = [], []
-        for a, m in pairs:
-            if angles and a == angles[-1]:
-                continue  # keep the first sample at a repeated angle
-            angles.append(float(a))
-            moments.append(float(m))
-        return cls(np.array(angles), np.array(moments), posture_label)
-
     def peak_abs_moment(self) -> float:
         return float(np.abs(self.moments).max())
 
@@ -214,10 +199,9 @@ def wrist_geometry(posture: ArmPosture,
 
     u_fore = _rotate(down, flexion_axis, posture.shoulder_flexion + posture.elbow_flexion)
     palm = lateral  # palm normal at thumb-up neutral pronation
-    if convention.carrying_angle != 0.0:
-        valgus_axis = np.cross(palm, u_fore)
-        u_fore = _rotate(u_fore, valgus_axis, convention.carrying_angle)
-        palm = _rotate(palm, valgus_axis, convention.carrying_angle)
+    valgus_axis = np.cross(palm, u_fore)
+    u_fore = _rotate(u_fore, valgus_axis, convention.carrying_angle)
+    palm = _rotate(palm, valgus_axis, convention.carrying_angle)
     palm = _rotate(palm, u_fore, posture.forearm_pronation)
 
     # resting grip extension tilts the whole hand plane about the wrist

@@ -38,9 +38,6 @@ class LinearFit:
         if not -_R2_TOL <= self.r_squared <= 1.0 + _R2_TOL:
             raise DomainError(f"r_squared out of [0, 1]: {self.r_squared}")
 
-    def predict(self, angle: float) -> float:
-        return self.slope * angle + self.intercept
-
 
 @dataclass(frozen=True)
 class SpringCatalogEntry:
@@ -132,13 +129,6 @@ def stiffness_to_nmm_per_deg(k: float) -> float:
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"stiffness must be > 0, got {k}")
     return k * NMM_PER_DEG_PER_NM_PER_RAD
-
-
-def stiffness_from_nmm_per_deg(k: float) -> float:
-    """Convert stiffness from catalog units (N*mm/deg) to N*m/rad."""
-    if not math.isfinite(k) or k <= 0:
-        raise DomainError(f"stiffness must be > 0, got {k}")
-    return k / NMM_PER_DEG_PER_NM_PER_RAD
 
 
 def catalog_match(target: float, catalog=DEFAULT_CATALOG) -> CatalogSelection:

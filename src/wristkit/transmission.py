@@ -1,14 +1,15 @@
-"""Spring, cable, and motor models for the assisted joint drive.
+"""Spring, cable-guide, and gearmotor constants of the assisted joint.
 
 A flat spiral (clock) spring acts directly on the joint and supplies
-torque proportional to its wind-up; the remainder of the demanded joint
-torque comes from a single cable wound on a lever pulley, routed over a
-curved guide, and pulled by a geared DC motor.  Friction on the guide
-follows the capstan relation, so cable tension is scaled by exp(mu *
-wrap) between the joint end and the motor end -- amplified when the
-motor works against friction, attenuated when friction aids it.
+torque proportional to its wind-up (:class:`SpringSpec`); ``fit`` sizes
+it.  The cable that closes the remaining torque gap runs over a curved
+guide whose friction follows the capstan relation: tension is scaled by
+exp(mu * wrap) between the joint end and the motor end -- amplified when
+the motor works against friction, attenuated when friction aids it.
+:class:`Gearing` holds the gearmotor constants through which ``analyze``
+turns logged motor current into motor-side and joint torque.
 
-Angles are radians, torques N*m, forces N, currents A.
+Angles are radians, torques N*m, forces N.
 """
 
 import math
@@ -45,15 +46,12 @@ class SpringSpec:
 
 @dataclass(frozen=True)
 class CableRoute:
-    """Cable geometry: lever pulley at the joint, curved guide en route."""
+    """Cable contact on the curved guide."""
 
-    lever_radius: float = 0.025   # m
     friction_mu: float = 0.04     # cable-on-guide friction coefficient
     wrap_angle: float = math.pi   # rad of contact on the guide
 
     def __post_init__(self):
-        if not _finite(self.lever_radius) or self.lever_radius <= 0:
-            raise DomainError(f"lever_radius must be > 0, got {self.lever_radius}")
         if not _finite(self.friction_mu) or self.friction_mu < 0:
             raise DomainError(f"friction_mu must be >= 0, got {self.friction_mu}")
         if not _finite(self.wrap_angle) or self.wrap_angle < 0:
@@ -75,26 +73,6 @@ class Gearing:
             raise DomainError(f"efficiency must lie in (0, 1], got {self.efficiency}")
         if not _finite(self.torque_constant) or self.torque_constant <= 0:
             raise DomainError(f"torque_constant must be > 0, got {self.torque_constant}")
-
-
-@dataclass(frozen=True)
-class DriveSolution:
-    """Steady-state operating point of the cable drive at one joint angle."""
-
-    joint_torque: float    # demanded at the joint, N*m
-    spring_torque: float   # supplied by the spring, N*m
-    net_torque: float      # joint_torque - spring_torque, N*m
-    cable_tension: float   # at the lever pulley, N
-    motor_torque: float    # at the motor shaft, N*m
-    current: float         # A
-    spring_driven: bool    # spring alone meets or exceeds the demand
-
-
-def spring_torque(spring: SpringSpec, angle: float) -> float:
-    """Assist torque (N*m) delivered by the spring at a joint angle."""
-    if not _finite(angle):
-        raise DomainError("angle must be finite")
-    return spring.stiffness * (spring.neutral_angle - angle)
 
 
 def pretension_torque(spring: SpringSpec) -> float:
@@ -119,34 +97,3 @@ def capstan_transmit(force: float, route: CableRoute, direction: str) -> float:
     if direction == "opposing":
         return force * math.exp(exponent)
     return force * math.exp(-exponent)
-
-
-def joint_torque_from_tension(tension: float, route: CableRoute) -> float:
-    """Joint torque produced by a cable tension acting on the lever pulley."""
-    if not _finite(tension) or tension < 0:
-        raise DomainError(f"tension must be >= 0, got {tension}")
-    return tension * route.lever_radius
-
-
-def motor_current_for_joint_torque(joint_torque: float, spring: SpringSpec,
-                                   angle: float, route: CableRoute,
-                                   gearing: Gearing) -> DriveSolution:
-    """Size the motor effort needed to hold a joint torque at an angle.
-
-    The spring contribution at ``angle`` is subtracted first; the cable
-    carries only the remainder.  When the spring alone meets or exceeds
-    the demand the cable goes slack and the motor current is zero.  The
-    cable always works against guide friction when the motor is loaded,
-    so the motor-side tension carries the full capstan amplification.
-    """
-    if not _finite(joint_torque):
-        raise DomainError("joint_torque must be finite")
-    assist = spring_torque(spring, angle)
-    net = joint_torque - assist
-    if net <= 0.0:
-        return DriveSolution(joint_torque, assist, net, 0.0, 0.0, 0.0, True)
-    tension = net / route.lever_radius
-    motor_side = capstan_transmit(tension, route, "opposing")
-    motor_torque = motor_side * route.lever_radius / (gearing.ratio * gearing.efficiency)
-    current = motor_torque / gearing.torque_constant
-    return DriveSolution(joint_torque, assist, net, tension, motor_torque, current, False)

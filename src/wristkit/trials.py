@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrialRejected
+from .errors import DataError, DomainError, TrialRejected
 from .stats import chi2_survival
 from .transmission import Gearing
 
@@ -230,16 +230,12 @@ def rom_metrics(log: TrialLog) -> tuple:
     return rom_ab, rom_ad, rom_ab + rom_ad
 
 
-def torque_series(log: TrialLog, gear: Gearing):
-    """Motor-side torque trace (t in s, tau in N*m) from logged current."""
-    tau = gear.torque_constant * (log.current_ma / 1000.0)
-    return log.time.copy(), tau
-
-
 def rms_torque(log: TrialLog, gear: Gearing) -> float:
-    """Root-mean-square motor-side torque (N*m) over the trial."""
-    return float(np.sqrt(np.mean(np.square(log.current_ma / 1000.0)))
-                 * gear.torque_constant)
+    """Root-mean-square motor-side torque (N*m) over the trial; inf when the
+    squares overflow (a current above about 1.3e157 mA)."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(np.square(log.current_ma / 1000.0)))
+                     * gear.torque_constant)
 
 
 def joint_torque_estimate(tau_motor: float, gear: Gearing) -> float:
@@ -251,9 +247,17 @@ def joint_torque_estimate(tau_motor: float, gear: Gearing) -> float:
 
 def trial_metrics(log: TrialLog, gear: Gearing,
                   interpolated_fraction: float = 0.0) -> TrialMetrics:
-    """Bundle ROM and RMS-torque outcomes for one cleaned trial."""
+    """Bundle ROM and RMS-torque outcomes for one cleaned trial.
+
+    Every per-trial check is made here, so :func:`aggregate_report` never
+    raises for metrics this returns: a torque with no finite joint torque
+    through the gearing raises :class:`DataError`, which rejects the one log.
+    """
     rom_ab, rom_ad, rom_total = rom_metrics(log)
-    return TrialMetrics(rom_ab, rom_ad, rom_total, rms_torque(log, gear),
+    tau_rms = rms_torque(log, gear)
+    if not math.isfinite(tau_rms * gear.ratio * gear.efficiency):
+        raise DataError(f"joint torque is not finite (RMS motor torque {tau_rms} N*m)")
+    return TrialMetrics(rom_ab, rom_ad, rom_total, tau_rms,
                         len(log), interpolated_fraction, log.meta)
 
 

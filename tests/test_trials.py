@@ -9,13 +9,12 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from wristkit import fileio, trials
-from wristkit.errors import DomainError, TrialRejected
+from wristkit.errors import DataError, DomainError, TrialRejected
 from wristkit.transmission import Gearing
 from wristkit.trials import (FriedmanResult, LikertResponse, TrialLog, TrialMeta,
                              TrialMetrics, aggregate_report, clean_interpolate,
                              friedman_test, joint_torque_estimate, likert_summary,
-                             repeatability, rms_torque, rom_metrics, torque_series,
-                             trial_metrics)
+                             repeatability, rms_torque, rom_metrics, trial_metrics)
 
 import oracles
 
@@ -207,14 +206,6 @@ def test_rom_requires_clean_log():
         rom_metrics(make_log([1.0, NAN]))
 
 
-def test_torque_series():
-    t, tau = torque_series(make_log([0.0, 0.0], currents=[476.0, 0.0]), GEAR)
-    assert tau[0] == pytest.approx(4.998e-3, rel=1e-12)
-    assert tau[1] == 0.0
-    t2, tau2 = torque_series(make_log([0.0], currents=[1000.0]), GEAR)
-    assert tau2[0] == pytest.approx(0.0105, rel=1e-12)
-
-
 def test_rms_torque():
     assert rms_torque(make_log([0.0] * 4, currents=[476.0] * 4), GEAR) == pytest.approx(
         4.998e-3, rel=1e-12)
@@ -254,6 +245,15 @@ def test_trial_metrics_bundles_everything():
     assert metrics.tau_rms == pytest.approx(4.998e-3, rel=1e-12)
     assert metrics.n_samples == 3
     assert metrics.meta == meta_for()
+
+
+def test_trial_metrics_rejects_a_current_whose_torque_overflows():
+    # squares overflow above about 1.3e157 mA; a finite tau_rms can still
+    # overflow through the gear ratio
+    with pytest.raises(DataError, match=r"^joint torque is not finite \(RMS motor torque inf"):
+        trial_metrics(make_log([0.0, 1.0], currents=[1e200, 0.0]), GEAR)
+    with pytest.raises(DataError, match="not finite"):
+        trial_metrics(make_log([0.0], currents=[1e152]), Gearing(ratio=1e300))
 
 
 # ---------------------------------------------------------------------------
