@@ -21,6 +21,13 @@ the palm normal about the forearm long axis from a thumb-up neutral
 * axis obliquity: the functional deviation axis is tilted about the
   hand's long axis away from the pure palm normal (dart-thrower sense).
 
+Each step turns two unit vectors within their plane of the forearm frame
+u = (sin f, 0, -cos f), f = shoulder + elbow flexion, l = (0, 1, 0) and
+w = u x l.  Carrying angle c gives u' = u cos c - l sin c and l' = l cos c
++ u sin c; pronation p the palm normal n = l' cos p + w sin p; grip
+extension e the hand u' cos e - n sin e and n' = n cos e + u' sin e; and
+obliquity o the axis n' cos o + (u' x n) sin o, u' x n = w cos p - l' sin p.
+
 Closed form
 -----------
 Wrist deviation turns the neutral hand direction h about the fixed unit
@@ -172,46 +179,28 @@ class TorqueCurve:
 # geometry
 # ---------------------------------------------------------------------------
 
-def _rotate(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of ``vec`` about the unit-normalized ``axis``."""
-    norm = math.sqrt(float(axis @ axis))
-    if norm == 0.0:
-        raise DomainError("rotation axis must be non-zero")
-    k = axis / norm
-    return (vec * math.cos(angle)
-            + np.cross(k, vec) * math.sin(angle)
-            + k * (k @ vec) * (1.0 - math.cos(angle)))
-
-
 def wrist_geometry(posture: ArmPosture,
                    convention: KinematicConvention = DEFAULT_CONVENTION):
     """Deviation axis and neutral hand direction for a posture.
 
-    Returns
-    -------
-    (axis, hand_dir) : tuple of unit 3-vectors
-        ``axis`` is the abduction-positive deviation axis (right-hand
-        rule); ``hand_dir`` is the hand long axis at zero wrist angle.
+    Returns ``(axis, hand_dir)``, unit 3-vectors: the abduction-positive
+    deviation axis (right-hand rule) and the hand long axis at zero wrist
+    angle.
     """
+    phi = posture.shoulder_flexion + posture.elbow_flexion
+    fore = np.array([math.sin(phi), 0.0, -math.cos(phi)])
     lateral = np.array([0.0, 1.0, 0.0])
-    down = np.array([0.0, 0.0, -1.0])
-    flexion_axis = -lateral  # positive flexion swings the limb anteriorly
+    w = np.array([math.cos(phi), 0.0, math.sin(phi)])  # fore x lateral
 
-    u_fore = _rotate(down, flexion_axis, posture.shoulder_flexion + posture.elbow_flexion)
-    palm = lateral  # palm normal at thumb-up neutral pronation
-    valgus_axis = np.cross(palm, u_fore)
-    u_fore = _rotate(u_fore, valgus_axis, convention.carrying_angle)
-    palm = _rotate(palm, valgus_axis, convention.carrying_angle)
-    palm = _rotate(palm, u_fore, posture.forearm_pronation)
-
-    # resting grip extension tilts the whole hand plane about the wrist
-    # flexion-extension axis
-    fe_axis = np.cross(palm, u_fore)
-    hand_dir = _rotate(u_fore, fe_axis, convention.grip_extension)
-    palm = _rotate(palm, fe_axis, convention.grip_extension)
-
-    axis = _rotate(palm, hand_dir, convention.axis_obliquity)
-    return axis, hand_dir
+    c, s = math.cos(convention.carrying_angle), math.sin(convention.carrying_angle)
+    fore, lateral = fore * c - lateral * s, lateral * c + fore * s
+    c, s = math.cos(posture.forearm_pronation), math.sin(posture.forearm_pronation)
+    palm = lateral * c + w * s
+    fore_x_palm = w * c - lateral * s  # grip extension leaves it fixed
+    c, s = math.cos(convention.grip_extension), math.sin(convention.grip_extension)
+    hand_dir, palm = fore * c - palm * s, palm * c + fore * s
+    c, s = math.cos(convention.axis_obliquity), math.sin(convention.axis_obliquity)
+    return palm * c + fore_x_palm * s, hand_dir
 
 
 def _require_chain(segments: dict) -> BodySegment:

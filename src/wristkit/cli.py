@@ -215,9 +215,15 @@ def main(argv=None) -> int:
     # warnings print as one line each; whoever records them still sees them
     default_format = warnings.formatwarning
     warnings.formatwarning = _one_line_warning
-    try:
-        cfg = load_config(args.config)
-        return args.func(cfg, args)
+    try:  # a warning raised as an error (python -W error) ends its stage
+        try:
+            cfg = load_config(args.config)
+        except Warning as exc:
+            raise ConfigError(exc) from None
+        try:
+            return args.func(cfg, args)
+        except Warning as exc:
+            raise DataError(exc) from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -376,12 +376,15 @@ def _mean_sd(values) -> dict:
 
 
 def _friedman_matrix(metrics, value_of):
-    """Participant x spring matrix of per-cell means, or None if incomplete."""
+    """Participant x spring matrix of per-cell means over 2**k, or None if incomplete."""
     participants = sorted({m.meta.participant for m in metrics})
     springs = sorted({m.meta.spring for m in metrics})
     cells = {}
     for m in metrics:
         cells.setdefault((m.meta.participant, m.meta.spring), []).append(value_of(m))
+    # one power of two for every cell scales exactly, keeps the ranks and
+    # bounds each cell sum, which near the float limit would overflow
+    _, exp = math.frexp(max(abs(v) for values in cells.values() for v in values))
     matrix = []
     for p in participants:
         row = []
@@ -389,7 +392,7 @@ def _friedman_matrix(metrics, value_of):
             values = cells.get((p, s))
             if not values:
                 return None, f"participant {p!r} has no {s!r} trials"
-            row.append(float(np.sort(np.asarray(values)).mean()))
+            row.append(float(np.sort(np.ldexp(values, -exp)).mean()))
         matrix.append(row)
     return matrix, None
 

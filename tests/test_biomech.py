@@ -61,6 +61,33 @@ def test_geometry_vectors_are_unit_and_orthogonal():
         assert float(axis @ hand_dir) == pytest.approx(0.0, abs=1e-12)
 
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def test_geometry_matches_the_anatomical_rotation_chain():
+    # replay the chain joint by joint with generic Rodrigues rotations
+    rng = random.Random(11)
+    lateral, down = (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)
+    for _ in range(300):
+        posture = ArmPosture(rng.uniform(-1, 3), rng.uniform(-1, 3), rng.uniform(-3.2, 3.2))
+        convention = KinematicConvention(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1),
+                                         rng.uniform(-0.6, 0.6))
+        fore = oracles.rotate(down, (0.0, -1.0, 0.0),
+                              posture.shoulder_flexion + posture.elbow_flexion)
+        valgus = _cross(lateral, fore)
+        fore, palm = (oracles.rotate(v, valgus, convention.carrying_angle)
+                      for v in (fore, lateral))
+        palm = oracles.rotate(palm, fore, posture.forearm_pronation)
+        flexion_extension = _cross(palm, fore)
+        hand, palm = (oracles.rotate(v, flexion_extension, convention.grip_extension)
+                      for v in (fore, palm))
+        axis = oracles.rotate(palm, hand, convention.axis_obliquity)
+        got_axis, got_hand = wrist_geometry(posture, convention)
+        assert list(got_axis) == pytest.approx(axis, abs=1e-12)
+        assert list(got_hand) == pytest.approx(hand, abs=1e-12)
+
+
 def test_hanging_arm_has_zero_moment():
     # straight-down hand: gravity is parallel to the hand axis, no moment
     posture = ArmPosture(0.0, 0.0, 0.0)

@@ -140,6 +140,23 @@ def test_analyze_corpus(tmp_path, capsys, corpus_dir):
     capsys.readouterr()
 
 
+def test_analyze_survives_torques_near_the_float_limit(tmp_path, capsys, corpus_dir,
+                                                       expected_report_text):
+    # every trial's tau_rms is finite near 1e308, but a sum of two is not:
+    # the Friedman cell means must not overflow, and they keep their ranks
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[transmission]\ngear_ratio = 1\nefficiency = 1\n"
+                   "torque_constant_nm_per_a = 1e308\n")
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["--config", str(cfg), "analyze", str(corpus_dir), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert max(t["tau_rms_nm"] for t in report["trials"]) > 1e307
+    assert report["friedman"] == json.loads(expected_report_text)["friedman"]
+    capsys.readouterr()
+
+
 def test_analyze_ignores_unrelated_files(tmp_path, capsys, corpus_dir):
     # a stray file that is no trial log must not break the run
     work = tmp_path / "trials"
@@ -251,6 +268,37 @@ def test_warnings_print_as_one_line(tmp_path, capsys):
         assert run(argv) == 0
     assert warnings.formatwarning is formatter
     capsys.readouterr()
+
+
+def _run_warnings_as_errors(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "wristkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_warning_as_error_in_config_exits_3(tmp_path):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[transmission]\nfriction_mu = 0.1\n")
+    out = tmp_path / "c.csv"
+    done = _run_warnings_as_errors(["--config", str(cfg), "simulate", "--posture", "P1",
+                                    "--out", str(out)])
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == f"config error: {cfg}: [transmission] friction_mu is retired and ignored\n"
+    assert done.stdout == "" and not out.exists()
+
+
+def test_warning_as_error_in_analyze_exits_2(tmp_path, corpus_dir):
+    work = tmp_path / "two"
+    work.mkdir()
+    for src in sorted(p for p in corpus_dir.iterdir() if p.name.startswith("P1_"))[:2]:
+        shutil.copy(src, work / src.name)
+    out = tmp_path / "report.json"
+    done = _run_warnings_as_errors(["analyze", str(work), "--out", str(out)])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("data error: friedman test on rom_total_deg omitted: ")
+    assert done.stderr.count("\n") == 1
+    assert done.stdout == "" and list(tmp_path.iterdir()) == [work]
 
 
 def test_analyze_does_not_import_numpy_ma(tmp_path, corpus_dir):
