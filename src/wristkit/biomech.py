@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_real
 
 GRAVITY = 9.81  # m/s^2
 
@@ -56,10 +56,6 @@ HAND_MASS_FRACTION = {"male": 0.0065, "female": 0.0050}
 
 # Upper bound on a plausible hand-mass fraction override.
 _MAX_HAND_FRACTION = 0.05
-
-
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +72,9 @@ class BodySegment:
     com_ratio: float  # fraction of length from the proximal joint
 
     def __post_init__(self):
-        if not _finite(self.mass) or self.mass < 0:
-            raise DomainError(f"segment {self.name!r}: mass must be >= 0, got {self.mass}")
-        if not _finite(self.length) or self.length <= 0:
-            raise DomainError(f"segment {self.name!r}: length must be > 0, got {self.length}")
-        if not _finite(self.com_ratio) or not 0.0 <= self.com_ratio <= 1.0:
-            raise DomainError(
-                f"segment {self.name!r}: com_ratio must lie in [0, 1], got {self.com_ratio}")
+        check_real(f"segment {self.name!r}: mass", self.mass, ">= 0")
+        check_real(f"segment {self.name!r}: length", self.length, "> 0")
+        check_real(f"segment {self.name!r}: com_ratio", self.com_ratio, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,7 @@ class ArmPosture:
 
     def __post_init__(self):
         for name in ("shoulder_flexion", "elbow_flexion", "forearm_pronation"):
-            if not _finite(getattr(self, name)):
-                raise DomainError(f"posture {self.label!r}: {name} must be finite")
+            check_real(f"posture {self.label!r}: {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -108,10 +99,8 @@ class LoadSpec:
     grip_offset: float    # m from the wrist joint along the hand axis
 
     def __post_init__(self):
-        if not _finite(self.handheld_mass) or self.handheld_mass < 0:
-            raise DomainError(f"handheld_mass must be >= 0, got {self.handheld_mass}")
-        if not _finite(self.grip_offset) or self.grip_offset < 0:
-            raise DomainError(f"grip_offset must be >= 0, got {self.grip_offset}")
+        check_real("handheld_mass", self.handheld_mass, ">= 0")
+        check_real("grip_offset", self.grip_offset, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -122,10 +111,8 @@ class MotionProfile:
     amplitude: float    # rad
 
     def __post_init__(self):
-        if not _finite(self.mean_angle):
-            raise DomainError("mean_angle must be finite")
-        if not _finite(self.amplitude) or self.amplitude < 0:
-            raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
+        check_real("mean_angle", self.mean_angle)
+        check_real("amplitude", self.amplitude, ">= 0")
 
     def angle_range(self) -> tuple:
         """(min, max) wrist angle over one cycle."""
@@ -142,8 +129,7 @@ class KinematicConvention:
 
     def __post_init__(self):
         for name in ("axis_obliquity", "grip_extension", "carrying_angle"):
-            if not _finite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+            check_real(name, getattr(self, name))
 
 
 DEFAULT_CONVENTION = KinematicConvention()
@@ -216,12 +202,9 @@ def _require_chain(segments: dict) -> BodySegment:
 def hand_mass_from_body(body_mass: float, sex: str,
                         fraction_override: float | None = None) -> float:
     """Hand mass (kg) from whole-body mass via anthropometric fractions."""
-    if not _finite(body_mass) or body_mass <= 0:
-        raise DomainError(f"body_mass must be > 0, got {body_mass}")
+    check_real("body_mass", body_mass, "> 0")
     if fraction_override is not None:
-        if not _finite(fraction_override) or not 0.0 < fraction_override < _MAX_HAND_FRACTION:
-            raise DomainError(
-                f"fraction_override must lie in (0, {_MAX_HAND_FRACTION}), got {fraction_override}")
+        check_real("fraction_override", fraction_override, f"(0, {_MAX_HAND_FRACTION})")
         return body_mass * fraction_override
     try:
         fraction = HAND_MASS_FRACTION[sex]
@@ -245,8 +228,7 @@ def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
     theta = np.asarray(wrist_angle)
     if theta.dtype.kind not in "biuf" or not np.isfinite(theta).all():
         raise DomainError("wrist_angle must be finite")
-    if not _finite(g):
-        raise DomainError("g must be finite")
+    check_real("g", g)
 
     axis, hand_dir = wrist_geometry(posture, convention)
     lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
@@ -265,8 +247,7 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     Angles are an evenly spaced closed grid over the cycle's angle range,
     so the first and last samples sit exactly at the cycle extremes.
     """
-    if int(n_samples) != n_samples or n_samples < 2:
-        raise DomainError(f"n_samples must be an integer >= 2, got {n_samples}")
+    check_real("n_samples", n_samples, ">= 2", integer=True)
     angles = np.linspace(*motion.angle_range(), int(n_samples))
     moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)

@@ -118,9 +118,9 @@ def cmd_fit(cfg, args) -> int:
     worst = springs.worst_case_select(curves)
     fit = springs.fit_linear(worst)
     spring = springs.derive_spring(fit, cfg.pre_wind)
-    selection = springs.catalog_match(
-        springs.stiffness_to_nmm_per_deg(spring.stiffness),
-        fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog)
+    stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
+    catalog = fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog
+    selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
 
     def entry(e):
         return None if e is None else {"name": e.name, "stiffness_nmm_per_deg": e.stiffness}
@@ -135,7 +135,7 @@ def cmd_fit(cfg, args) -> int:
         },
         "spring": {
             "stiffness_nm_per_rad": spring.stiffness,
-            "stiffness_nmm_per_deg": springs.stiffness_to_nmm_per_deg(spring.stiffness),
+            "stiffness_nmm_per_deg": stiffness_nmm_per_deg,
             "neutral_angle_rad": spring.neutral_angle,
             "neutral_angle_deg": math.degrees(spring.neutral_angle),
         },

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
                       MotionProfile, hand_mass_from_body)
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, check_real
 from .springs import DEFAULT_CATALOG
 from .transmission import Gearing
 from . import fileio
@@ -232,6 +232,8 @@ def _build(parser, base_dir) -> ToolkitConfig:
     else:
         catalog = DEFAULT_CATALOG
     pre_wind = _get_optional_float(parser, "springs", "pre_wind_rad")
+    if pre_wind is not None:
+        check_real("pre_wind", pre_wind, ">= 0")
 
     angle_bounds = (_get_float(parser, "analysis", "angle_min_deg"),
                     _get_float(parser, "analysis", "angle_max_deg"))

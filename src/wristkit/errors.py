@@ -1,8 +1,12 @@
 """Error taxonomy shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: usage problems exit 1,
-data problems exit 2, configuration problems exit 3.
+data problems exit 2, configuration problems exit 3.  :func:`check_real`
+states once what a valid scalar input is and how its rejection is worded.
 """
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -29,3 +33,31 @@ class TrialRejected(DataError):
 
 class ConfigError(Exception):
     """A configuration file is missing, malformed, or inconsistent."""
+
+
+def check_real(name: str, value, rule: str = "finite", integer: bool = False):
+    """Return ``value`` when it is a finite real number that meets ``rule``.
+
+    Any finite real passes, numpy integer and float scalars included; str,
+    None, complex, NaN and +-inf fail, and with ``integer`` so does a fraction.
+    ``rule`` is ``"finite"``, a bound (``">= 0"``, ``"> 0"``) or an interval
+    (``"[0, 1]"``, ``"(0, 1]"``), and a :class:`DomainError` quotes it as is.
+    """
+    ok = (isinstance(value, numbers.Real) and math.isfinite(value)
+          and (not integer or value == int(value)))
+    if rule == "finite":
+        if not ok:
+            raise DomainError(f"{name} must be finite")
+        return value
+    if rule[0] in "[(":
+        lo, hi = (float(end) for end in rule[1:-1].split(", "))
+        ok = ok and ((lo <= value if rule[0] == "[" else lo < value)
+                     and (value <= hi if rule[-1] == "]" else value < hi))
+        shape = f"be an integer in {rule}" if integer else f"lie in {rule}"
+    else:
+        op, bound = rule.split()
+        ok = ok and (value >= float(bound) if op == ">=" else value > float(bound))
+        shape = f"be an integer {rule}" if integer else f"be {rule}"
+    if not ok:
+        raise DomainError(f"{name} must {shape}, got {value}")
+    return value

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import TorqueCurve
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .transmission import SpringSpec
 
 # 1 N*m/rad expressed in N*mm/deg.
@@ -126,9 +126,7 @@ def worst_case_select(curves) -> TorqueCurve:
 
 def stiffness_to_nmm_per_deg(k: float) -> float:
     """Convert stiffness from N*m/rad to catalog units (N*mm/deg)."""
-    if not math.isfinite(k) or k <= 0:
-        raise DomainError(f"stiffness must be > 0, got {k}")
-    return k * NMM_PER_DEG_PER_NM_PER_RAD
+    return check_real("stiffness", k, "> 0") * NMM_PER_DEG_PER_NM_PER_RAD
 
 
 def catalog_match(target: float, catalog=DEFAULT_CATALOG) -> CatalogSelection:
@@ -141,8 +139,7 @@ def catalog_match(target: float, catalog=DEFAULT_CATALOG) -> CatalogSelection:
     entries = sorted(catalog, key=lambda e: e.stiffness)
     if not entries:
         raise DomainError("catalog is empty")
-    if not math.isfinite(target) or target <= 0:
-        raise DomainError(f"target stiffness must be > 0, got {target}")
+    check_real("target stiffness", target, "> 0")
     nominal = min(entries, key=lambda e: (abs(e.stiffness - target), e.stiffness))
     below = [e for e in entries if e.stiffness < nominal.stiffness]
     above = [e for e in entries if e.stiffness > nominal.stiffness]

@@ -15,8 +15,7 @@ Angles are radians, torques N*m, forces N.
 import math
 from dataclasses import dataclass
 
-from .biomech import _finite
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_real
 
 CAPSTAN_DIRECTIONS = ("aiding", "opposing")
 
@@ -35,13 +34,10 @@ class SpringSpec:
     pre_wind: float | None = None
 
     def __post_init__(self):
-        if not _finite(self.stiffness) or self.stiffness <= 0:
-            raise DomainError(f"stiffness must be > 0, got {self.stiffness}")
-        if not _finite(self.neutral_angle):
-            raise DomainError("neutral_angle must be finite")
+        check_real("stiffness", self.stiffness, "> 0")
+        check_real("neutral_angle", self.neutral_angle)
         if self.pre_wind is not None:
-            if not _finite(self.pre_wind) or self.pre_wind < 0:
-                raise DomainError(f"pre_wind must be >= 0, got {self.pre_wind}")
+            check_real("pre_wind", self.pre_wind, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,8 @@ class CableRoute:
     wrap_angle: float = math.pi   # rad of contact on the guide
 
     def __post_init__(self):
-        if not _finite(self.friction_mu) or self.friction_mu < 0:
-            raise DomainError(f"friction_mu must be >= 0, got {self.friction_mu}")
-        if not _finite(self.wrap_angle) or self.wrap_angle < 0:
-            raise DomainError(f"wrap_angle must be >= 0, got {self.wrap_angle}")
+        check_real("friction_mu", self.friction_mu, ">= 0")
+        check_real("wrap_angle", self.wrap_angle, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -67,12 +61,9 @@ class Gearing:
     torque_constant: float = 0.0105  # N*m/A at the motor shaft
 
     def __post_init__(self):
-        if not _finite(self.ratio) or self.ratio <= 0:
-            raise DomainError(f"ratio must be > 0, got {self.ratio}")
-        if not _finite(self.efficiency) or not 0.0 < self.efficiency <= 1.0:
-            raise DomainError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if not _finite(self.torque_constant) or self.torque_constant <= 0:
-            raise DomainError(f"torque_constant must be > 0, got {self.torque_constant}")
+        check_real("ratio", self.ratio, "> 0")
+        check_real("efficiency", self.efficiency, "(0, 1]")
+        check_real("torque_constant", self.torque_constant, "> 0")
 
 
 def pretension_torque(spring: SpringSpec) -> float:
@@ -89,8 +80,7 @@ def capstan_transmit(force: float, route: CableRoute, direction: str) -> float:
     motor must pull harder than the joint-side tension) and ``"aiding"``
     when friction holds load for the motor.
     """
-    if not _finite(force) or force < 0:
-        raise DomainError(f"force must be >= 0, got {force}")
+    check_real("force", force, ">= 0")
     if direction not in CAPSTAN_DIRECTIONS:
         raise DomainError(f"direction must be one of {CAPSTAN_DIRECTIONS}, got {direction!r}")
     exponent = route.friction_mu * route.wrap_angle

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, TrialRejected
+from .errors import DataError, DomainError, TrialRejected, check_real
 from .stats import chi2_survival
 from .transmission import Gearing
 
@@ -151,8 +151,7 @@ class LikertResponse:
     def __post_init__(self):
         if self.item not in LIKERT_ITEMS:
             raise DomainError(f"item must be one of {LIKERT_ITEMS}, got {self.item!r}")
-        if int(self.score) != self.score or not 1 <= self.score <= 10:
-            raise DomainError(f"score must be an integer in [1, 10], got {self.score}")
+        check_real("score", self.score, "[1, 10]", integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,7 @@ def rms_torque(log: TrialLog, gear: Gearing) -> float:
 
 def joint_torque_estimate(tau_motor: float, gear: Gearing) -> float:
     """Joint-side torque implied by a motor-side torque through the gearing."""
-    if not math.isfinite(tau_motor) or tau_motor < 0:
-        raise DomainError(f"tau_motor must be >= 0, got {tau_motor}")
-    return tau_motor * gear.ratio * gear.efficiency
+    return check_real("tau_motor", tau_motor, ">= 0") * gear.ratio * gear.efficiency
 
 
 def trial_metrics(log: TrialLog, gear: Gearing,

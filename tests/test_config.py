@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wristkit.cli import main
 from wristkit.config import DEFAULTS, load_config
 from wristkit.errors import ConfigError
 
@@ -94,6 +95,22 @@ def test_invalid_values_rejected(tmp_path):
     path.write_text("[segments]\nhand_length_m = 0\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_negative_pre_wind_is_a_config_error_for_every_command(tmp_path, capsys):
+    path = tmp_path / "toolkit.ini"
+    path.write_text("[springs]\npre_wind_rad = -1\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == "pre_wind must be >= 0, got -1.0"
+    for command in (["simulate", "--posture", "P1", "--out", str(tmp_path / "p1.csv")],
+                    ["analyze", str(tmp_path), "--out", str(tmp_path / "report.json")],
+                    ["fit", str(tmp_path / "p1.csv")]):
+        assert main(["--config", str(path), *command]) == 3
+        assert capsys.readouterr().err == "config error: pre_wind must be >= 0, got -1.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toolkit.ini"]
+    path.write_text("[springs]\npre_wind_rad = 0\n")
+    assert load_config(path).pre_wind == 0.0
 
 
 def test_motion_must_fit_joint_limits(tmp_path):
