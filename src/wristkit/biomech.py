@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_real
+from .errors import ConfigError, DomainError, check_fields, check_real
 
 GRAVITY = 9.81  # m/s^2
 
@@ -72,9 +72,7 @@ class BodySegment:
     com_ratio: float  # fraction of length from the proximal joint
 
     def __post_init__(self):
-        check_real(f"segment {self.name!r}: mass", self.mass, ">= 0")
-        check_real(f"segment {self.name!r}: length", self.length, "> 0")
-        check_real(f"segment {self.name!r}: com_ratio", self.com_ratio, "[0, 1]")
+        check_fields(self, f"segment {self.name!r}: ", mass=">= 0", length="> 0", com_ratio="[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ class ArmPosture:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("shoulder_flexion", "elbow_flexion", "forearm_pronation"):
-            check_real(f"posture {self.label!r}: {name}", getattr(self, name))
+        check_fields(self, f"posture {self.label!r}: ", shoulder_flexion="finite",
+                     elbow_flexion="finite", forearm_pronation="finite")
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,7 @@ class LoadSpec:
     grip_offset: float    # m from the wrist joint along the hand axis
 
     def __post_init__(self):
-        check_real("handheld_mass", self.handheld_mass, ">= 0")
-        check_real("grip_offset", self.grip_offset, ">= 0")
+        check_fields(self, handheld_mass=">= 0", grip_offset=">= 0")
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ class MotionProfile:
     amplitude: float    # rad
 
     def __post_init__(self):
-        check_real("mean_angle", self.mean_angle)
-        check_real("amplitude", self.amplitude, ">= 0")
+        check_fields(self, mean_angle="finite", amplitude=">= 0")
 
     def angle_range(self) -> tuple:
         """(min, max) wrist angle over one cycle."""
@@ -128,8 +124,7 @@ class KinematicConvention:
     carrying_angle: float = math.radians(10.0)   # rad
 
     def __post_init__(self):
-        for name in ("axis_obliquity", "grip_extension", "carrying_angle"):
-            check_real(name, getattr(self, name))
+        check_fields(self, axis_obliquity="finite", grip_extension="finite", carrying_angle="finite")
 
 
 DEFAULT_CONVENTION = KinematicConvention()
@@ -202,10 +197,10 @@ def _require_chain(segments: dict) -> BodySegment:
 def hand_mass_from_body(body_mass: float, sex: str,
                         fraction_override: float | None = None) -> float:
     """Hand mass (kg) from whole-body mass via anthropometric fractions."""
-    check_real("body_mass", body_mass, "> 0")
+    body_mass = check_real("body_mass", body_mass, "> 0")
     if fraction_override is not None:
-        check_real("fraction_override", fraction_override, f"(0, {_MAX_HAND_FRACTION})")
-        return body_mass * fraction_override
+        return body_mass * check_real("fraction_override", fraction_override,
+                                      f"(0, {_MAX_HAND_FRACTION})")
     try:
         fraction = HAND_MASS_FRACTION[sex]
     except KeyError:
@@ -228,7 +223,7 @@ def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
     theta = np.asarray(wrist_angle)
     if theta.dtype.kind not in "biuf" or not np.isfinite(theta).all():
         raise DomainError("wrist_angle must be finite")
-    check_real("g", g)
+    g = check_real("g", g)
 
     axis, hand_dir = wrist_geometry(posture, convention)
     lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
@@ -247,8 +242,8 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     Angles are an evenly spaced closed grid over the cycle's angle range,
     so the first and last samples sit exactly at the cycle extremes.
     """
-    check_real("n_samples", n_samples, ">= 2", integer=True)
-    angles = np.linspace(*motion.angle_range(), int(n_samples))
+    n_samples = check_real("n_samples", n_samples, ">= 2", integer=True)
+    angles = np.linspace(*motion.angle_range(), n_samples)
     moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)
 

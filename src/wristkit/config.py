@@ -233,7 +233,7 @@ def _build(parser, base_dir) -> ToolkitConfig:
         catalog = DEFAULT_CATALOG
     pre_wind = _get_optional_float(parser, "springs", "pre_wind_rad")
     if pre_wind is not None:
-        check_real("pre_wind", pre_wind, ">= 0")
+        pre_wind = check_real("pre_wind", pre_wind, ">= 0")
 
     angle_bounds = (_get_float(parser, "analysis", "angle_min_deg"),
                     _get_float(parser, "analysis", "angle_max_deg"))

@@ -36,28 +36,37 @@ class ConfigError(Exception):
 
 
 def check_real(name: str, value, rule: str = "finite", integer: bool = False):
-    """Return ``value`` when it is a finite real number that meets ``rule``.
+    """Return ``value`` as a float (an int with ``integer``) when it is a finite real
+    number that meets ``rule``, else raise a :class:`DomainError`.
 
-    Any finite real passes, numpy integer and float scalars included; str,
-    None, complex, NaN and +-inf fail, and with ``integer`` so does a fraction.
-    ``rule`` is ``"finite"``, a bound (``">= 0"``, ``"> 0"``) or an interval
-    (``"[0, 1]"``, ``"(0, 1]"``), and a :class:`DomainError` quotes it as is.
+    Any finite real passes, numpy integer and float scalars included; str, None,
+    complex, NaN, +-inf and an int too large for a float fail, and with ``integer``
+    so does a fraction.  ``rule`` is ``"finite"``, a bound (``">= 0"``, ``"> 0"``)
+    or an interval (``"[0, 1]"``, ``"(0, 1]"``), quoted as is in the message.
     """
-    ok = (isinstance(value, numbers.Real) and math.isfinite(value)
-          and (not integer or value == int(value)))
-    if rule == "finite":
-        if not ok:
-            raise DomainError(f"{name} must be finite")
-        return value
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        ok = math.isfinite(value) and (not integer or value == int(value))
+    except OverflowError:   # an int too large for a float
+        ok = False
     if rule[0] in "[(":
         lo, hi = (float(end) for end in rule[1:-1].split(", "))
         ok = ok and ((lo <= value if rule[0] == "[" else lo < value)
                      and (value <= hi if rule[-1] == "]" else value < hi))
         shape = f"be an integer in {rule}" if integer else f"lie in {rule}"
-    else:
+    elif rule != "finite":
         op, bound = rule.split()
         ok = ok and (value >= float(bound) if op == ">=" else value > float(bound))
         shape = f"be an integer {rule}" if integer else f"be {rule}"
     if not ok:
-        raise DomainError(f"{name} must {shape}, got {value}")
-    return value
+        raise DomainError(f"{name} must be finite" if rule == "finite"
+                          else f"{name} must {shape}, got {value}")
+    return int(value) if integer else float(value)
+
+
+def check_fields(obj, prefix: str = "", **rules):
+    """Pass each named field of the frozen dataclass ``obj`` through :func:`check_real`
+    as ``prefix + field`` and store the number it returns."""
+    for field, rule in rules.items():
+        object.__setattr__(obj, field, check_real(prefix + field, getattr(obj, field), rule))

@@ -139,7 +139,7 @@ def catalog_match(target: float, catalog=DEFAULT_CATALOG) -> CatalogSelection:
     entries = sorted(catalog, key=lambda e: e.stiffness)
     if not entries:
         raise DomainError("catalog is empty")
-    check_real("target stiffness", target, "> 0")
+    target = check_real("target stiffness", target, "> 0")
     nominal = min(entries, key=lambda e: (abs(e.stiffness - target), e.stiffness))
     below = [e for e in entries if e.stiffness < nominal.stiffness]
     above = [e for e in entries if e.stiffness > nominal.stiffness]

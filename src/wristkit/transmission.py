@@ -15,7 +15,7 @@ Angles are radians, torques N*m, forces N.
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, check_real
+from .errors import ConfigError, DomainError, check_fields, check_real
 
 CAPSTAN_DIRECTIONS = ("aiding", "opposing")
 
@@ -34,10 +34,9 @@ class SpringSpec:
     pre_wind: float | None = None
 
     def __post_init__(self):
-        check_real("stiffness", self.stiffness, "> 0")
-        check_real("neutral_angle", self.neutral_angle)
+        check_fields(self, stiffness="> 0", neutral_angle="finite")
         if self.pre_wind is not None:
-            check_real("pre_wind", self.pre_wind, ">= 0")
+            check_fields(self, pre_wind=">= 0")
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ class CableRoute:
     wrap_angle: float = math.pi   # rad of contact on the guide
 
     def __post_init__(self):
-        check_real("friction_mu", self.friction_mu, ">= 0")
-        check_real("wrap_angle", self.wrap_angle, ">= 0")
+        check_fields(self, friction_mu=">= 0", wrap_angle=">= 0")
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,7 @@ class Gearing:
     torque_constant: float = 0.0105  # N*m/A at the motor shaft
 
     def __post_init__(self):
-        check_real("ratio", self.ratio, "> 0")
-        check_real("efficiency", self.efficiency, "(0, 1]")
-        check_real("torque_constant", self.torque_constant, "> 0")
+        check_fields(self, ratio="> 0", efficiency="(0, 1]", torque_constant="> 0")
 
 
 def pretension_torque(spring: SpringSpec) -> float:
@@ -80,7 +76,7 @@ def capstan_transmit(force: float, route: CableRoute, direction: str) -> float:
     motor must pull harder than the joint-side tension) and ``"aiding"``
     when friction holds load for the motor.
     """
-    check_real("force", force, ">= 0")
+    force = check_real("force", force, ">= 0")
     if direction not in CAPSTAN_DIRECTIONS:
         raise DomainError(f"direction must be one of {CAPSTAN_DIRECTIONS}, got {direction!r}")
     exponent = route.friction_mu * route.wrap_angle

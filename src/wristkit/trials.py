@@ -151,7 +151,7 @@ class LikertResponse:
     def __post_init__(self):
         if self.item not in LIKERT_ITEMS:
             raise DomainError(f"item must be one of {LIKERT_ITEMS}, got {self.item!r}")
-        check_real("score", self.score, "[1, 10]", integer=True)
+        object.__setattr__(self, "score", check_real("score", self.score, "[1, 10]", True))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,23 @@ def test_analyze_rejects_a_bad_likert_file(tmp_path, capsys, corpus_dir):
     assert capsys.readouterr().err == ""
 
 
+def test_analyze_rejects_a_likert_score_too_large_for_a_float(tmp_path, capsys, corpus_dir):
+    work = tmp_path / "trials"
+    work.mkdir()
+    log = sorted(corpus_dir.glob("P*.csv"))[0]
+    shutil.copy(log, work / log.name)
+    (work / "likert.csv").write_text(f"participant,item,score\nP1,size,{10**400}\n")
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_trials"] == 1
+    assert "likert" not in report
+    assert report["rejected"] == [{
+        "file": "likert.csv", "reason": f"{work / 'likert.csv'}:2: "
+        f"score must be an integer in [1, 10], got {10**400}"}]
+    capsys.readouterr()
+
+
 def test_analyze_rejects_a_header_only_likert_file(tmp_path, capsys, corpus_dir):
     work = tmp_path / "trials"
     shutil.copytree(corpus_dir, work)

@@ -6,10 +6,12 @@ are part of the exit-code contract.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wristkit import fileio
 from wristkit.biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
                               MotionProfile, hand_mass_from_body, sweep_torque_curve,
                               wrist_reaction_moment)
@@ -17,7 +19,8 @@ from wristkit.cli import main
 from wristkit.errors import DomainError
 from wristkit.springs import catalog_match, stiffness_to_nmm_per_deg
 from wristkit.transmission import CableRoute, Gearing, SpringSpec, capstan_transmit
-from wristkit.trials import LikertResponse, joint_torque_estimate
+from wristkit.trials import (LikertResponse, TrialMeta, TrialMetrics, aggregate_report,
+                             joint_torque_estimate)
 
 NAN, INF = math.nan, math.inf
 HAND = {"hand": BodySegment("hand", 0.6, 0.19, 0.5)}
@@ -133,13 +136,34 @@ def test_finite_numpy_scalars_pass(make):
     assert make() is not None
 
 
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    gear = Gearing(np.float32(128.0), np.float32(0.75), np.float32(0.0105))
+    assert {type(gear.ratio), type(gear.efficiency), type(gear.torque_constant)} == {float}
+    assert type(LikertResponse("P1", "size", np.int64(3)).score) is int
+    # a float32 gearing reports what the same float64 values report
+    metrics = [TrialMetrics(40.0, 0.0, 40.0, 0.005, 100, 0.0,
+                            TrialMeta("P1", "POS1", "unloaded", "S1", 1))]
+    paths = []
+    for gearing in (gear, Gearing(128.0, 0.75, float(np.float32(0.0105)))):
+        paths.append(tmp_path / f"report{len(paths)}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fileio.write_report(paths[-1], aggregate_report(metrics, gearing))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("make, message", [
-    (lambda: stiffness_to_nmm_per_deg("1"), "stiffness must be > 0, got 1"),
-    (lambda: catalog_match(None), "target stiffness must be > 0, got None"),
-    (lambda: joint_torque_estimate("x", Gearing()), "tau_motor must be >= 0, got x"),
-    (lambda: Gearing(ratio=1 + 2j), "ratio must be > 0, got (1+2j)"),
+    (lambda: stiffness_to_nmm_per_deg("1"), "stiffness must be a real number, got '1'"),
+    (lambda: catalog_match(None), "target stiffness must be a real number, got None"),
+    (lambda: joint_torque_estimate("x", Gearing()), "tau_motor must be a real number, got 'x'"),
+    (lambda: Gearing(ratio=1 + 2j), "ratio must be a real number, got (1+2j)"),
+    (lambda: MotionProfile("0", 0.5), "mean_angle must be a real number, got '0'"),
     (lambda: MotionProfile(np.float32("nan"), 0.5), "mean_angle must be finite"),
-], ids=["str", "none", "str-trials", "complex", "numpy-nan"])
+    (lambda: sweep_torque_curve(HAND, P1, MotionProfile(0.0, 0.5), LOAD, n_samples="3"),
+     "n_samples must be a real number, got '3'"),
+    (lambda: LikertResponse("P1", "size", "3"), "score must be a real number, got '3'"),
+], ids=["str", "none", "str-trials", "complex", "str-finite", "numpy-nan", "str-n-samples",
+        "str-likert-score"])
 def test_non_numbers_raise_domain_error(make, message):
     with pytest.raises(DomainError) as info:
         make()
@@ -151,8 +175,21 @@ def test_non_numbers_raise_domain_error(make, message):
      "n_samples must be an integer >= 2, got {v}"),
     (lambda v: LikertResponse("P1", "size", v), "score must be an integer in [1, 10], got {v}"),
 ], ids=["n-samples", "likert-score"])
-@pytest.mark.parametrize("value", [INF, -INF, NAN, 2.5, "3"])
+@pytest.mark.parametrize("value", [INF, -INF, NAN, 2.5])
 def test_integer_checks_raise_their_own_message(make, message, value):
     with pytest.raises(DomainError) as info:
         make(value)
     assert str(info.value) == message.format(v=value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Gearing(ratio=10**400), "ratio must be > 0, got 1" + "0" * 400),
+    (lambda: MotionProfile(-10**400, 0.5), "mean_angle must be finite"),
+    (lambda: catalog_match(10**400), "target stiffness must be > 0, got 1" + "0" * 400),
+    (lambda: LikertResponse("P1", "size", 10**400),
+     "score must be an integer in [1, 10], got 1" + "0" * 400),
+], ids=["bound", "finite", "catalog", "likert-score"])
+def test_int_too_large_for_a_float_raises_domain_error(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
