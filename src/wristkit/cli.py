@@ -100,12 +100,13 @@ def cmd_simulate(cfg, args) -> int:
     curves = [sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load,
                                  args.samples, cfg.gravity, cfg.convention)
               for posture in selected]
+    summaries = [_curve_summary(curve) for curve in curves]  # a fit that fails writes nothing
     out = Path(args.out)
     paths = [out] if len(curves) == 1 else [out / f"{c.posture_label}.csv" for c in curves]
     for curve, path in zip(curves, paths):
         fileio.write_torque_curve(path, curve)
-    for curve, path in zip(curves, paths):
-        print(f"{_curve_summary(curve)} -> {path}")
+    for summary, path in zip(summaries, paths):
+        print(f"{summary} -> {path}")
     if len(curves) > 1:
         worst = springs.worst_case_select(curves)
         print(f"worst case: {worst.posture_label} "
@@ -114,13 +115,16 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_fit(cfg, args) -> int:
-    curves = [fileio.read_torque_curve(path, Path(path).stem) for path in args.curves]
-    worst = springs.worst_case_select(curves)
-    fit = springs.fit_linear(worst)
-    spring = springs.derive_spring(fit, cfg.pre_wind)
-    stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
+    curves = {path: fileio.read_torque_curve(path, Path(path).stem) for path in args.curves}
+    worst = springs.worst_case_select(curves.values())
     catalog = fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog
-    selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
+    try:  # a spring the worst-case curve cannot give is an error of that file
+        fit = springs.fit_linear(worst)
+        spring = springs.derive_spring(fit, cfg.pre_wind)
+        stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
+        selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
+    except DomainError as exc:
+        raise DataError(f"{next(p for p, c in curves.items() if c is worst)}: {exc}") from None
 
     def entry(e):
         return None if e is None else {"name": e.name, "stiffness_nmm_per_deg": e.stiffness}

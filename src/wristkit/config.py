@@ -5,7 +5,8 @@ The file is plain ``key = value`` lines under ``[section]`` headers
 need no extra dependencies.  Every key has a built-in default; unknown
 sections or keys are rejected rather than ignored, so typos fail loudly
 at load time.  Angles are written in degrees in the file (matching how
-the hardware and protocol are described) and converted to radians here.
+the hardware and protocol are described) and converted to radians here;
+a rejected value is named by its key and quoted in the unit written.
 
 Keys in ``_RETIRED`` once existed but never changed an output; a file
 that still sets one loads with a warning, and its value is not read.
@@ -130,22 +131,26 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _get_float(parser, section, key) -> float:
+def _number(parser, section, key, rule="finite") -> float | None:
+    """``[section] key`` as written (degrees for a ``_deg`` key) once ``rule`` holds.
+
+    A blank value is absent (None) only where the default is blank too.
+    """
     raw = parser.get(section, key)
+    if not raw and not DEFAULTS[section][key]:
+        return None
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
-    return value
+    try:
+        return check_real(f"[{section}] {key}", value, rule)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _get_optional_float(parser, section, key) -> float | None:
-    raw = parser.get(section, key).strip()
-    if not raw:
-        return None
-    return _get_float(parser, section, key)
+def _deg(parser, section, key, rule="finite") -> float:
+    return math.radians(_number(parser, section, key, rule))
 
 
 def load_config(path=None) -> ToolkitConfig:
@@ -154,51 +159,44 @@ def load_config(path=None) -> ToolkitConfig:
     Relative paths inside the file (the spring catalog) resolve against
     the config file's own directory.
     """
-    parser = _read_ini(path)
     base_dir = Path(path).parent if path is not None else Path.cwd()
-    try:
-        return _build(parser, base_dir)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(_read_ini(path), base_dir)
 
 
 def _build(parser, base_dir) -> ToolkitConfig:
     sec = "segments"
-    hand_mass = _get_float(parser, sec, "hand_mass_kg")
-    body_mass = _get_optional_float(parser, sec, "body_mass_kg")
+    body_mass = _number(parser, sec, "body_mass_kg", "> 0")  # replaces hand_mass_kg when set
+    hand_mass = _number(parser, sec, "hand_mass_kg", ">= 0" if body_mass is None else "finite")
     if body_mass is not None:
-        sex = parser.get(sec, "sex").strip()
-        fraction = _get_optional_float(parser, sec, "hand_mass_fraction")
+        sex = parser.get(sec, "sex")
+        fraction = _number(parser, sec, "hand_mass_fraction", "(0, 0.05)")
         if not sex and fraction is None:
             raise ConfigError("[segments] body_mass_kg needs sex or hand_mass_fraction")
-        hand_mass = hand_mass_from_body(body_mass, sex, fraction)
+        try:
+            hand_mass = hand_mass_from_body(body_mass, sex, fraction)
+        except DomainError as exc:  # the numbers passed above, so only sex is left
+            raise ConfigError(f"[segments] {exc}") from None
     segments = {"hand": BodySegment("hand", hand_mass,
-                                    _get_float(parser, sec, "hand_length_m"),
-                                    _get_float(parser, sec, "hand_com_ratio"))}
+                                    _number(parser, sec, "hand_length_m", "> 0"),
+                                    _number(parser, sec, "hand_com_ratio", "[0, 1]"))}
 
     convention = KinematicConvention(
-        axis_obliquity=math.radians(_get_float(parser, "kinematics", "axis_obliquity_deg")),
-        grip_extension=math.radians(_get_float(parser, "kinematics", "grip_extension_deg")),
-        carrying_angle=math.radians(_get_float(parser, "kinematics", "carrying_angle_deg")),
+        axis_obliquity=_deg(parser, "kinematics", "axis_obliquity_deg"),
+        grip_extension=_deg(parser, "kinematics", "grip_extension_deg"),
+        carrying_angle=_deg(parser, "kinematics", "carrying_angle_deg"),
     )
-    gravity = _get_float(parser, "kinematics", "gravity_m_s2")
-    if gravity <= 0:
-        raise ConfigError("[kinematics] gravity_m_s2 must be > 0")
+    gravity = _number(parser, "kinematics", "gravity_m_s2", "> 0")
 
     postures = {
-        label: ArmPosture(
-            *(math.radians(_get_float(parser, "postures", f"{label.lower()}_{joint}_deg"))
-              for joint in ("shoulder", "elbow", "pronation")),
-            label)
+        label: ArmPosture(*(_deg(parser, "postures", f"{label.lower()}_{joint}_deg")
+                            for joint in ("shoulder", "elbow", "pronation")), label)
         for label in ("P1", "P2", "P3")
     }
 
-    motion = MotionProfile(
-        mean_angle=math.radians(_get_float(parser, "motion", "mean_deg")),
-        amplitude=math.radians(_get_float(parser, "motion", "amplitude_deg")),
-    )
-    limit_lo = math.radians(_get_float(parser, "motion", "min_angle_deg"))
-    limit_hi = math.radians(_get_float(parser, "motion", "max_angle_deg"))
+    motion = MotionProfile(mean_angle=_deg(parser, "motion", "mean_deg"),
+                           amplitude=_deg(parser, "motion", "amplitude_deg", ">= 0"))
+    limit_lo = _deg(parser, "motion", "min_angle_deg")
+    limit_hi = _deg(parser, "motion", "max_angle_deg")
     if not limit_lo < limit_hi:
         raise ConfigError("[motion] min_angle_deg must be below max_angle_deg")
     lo, hi = motion.angle_range()
@@ -208,17 +206,15 @@ def _build(parser, base_dir) -> ToolkitConfig:
             f"outside the joint limits [{math.degrees(limit_lo):.2f}, "
             f"{math.degrees(limit_hi):.2f}] deg")
 
-    load = LoadSpec(
-        handheld_mass=_get_float(parser, "load", "handheld_mass_kg"),
-        grip_offset=_get_float(parser, "load", "grip_offset_m"),
-    )
+    load = LoadSpec(handheld_mass=_number(parser, "load", "handheld_mass_kg", ">= 0"),
+                    grip_offset=_number(parser, "load", "grip_offset_m", ">= 0"))
     gearing = Gearing(
-        ratio=_get_float(parser, "transmission", "gear_ratio"),
-        efficiency=_get_float(parser, "transmission", "efficiency"),
-        torque_constant=_get_float(parser, "transmission", "torque_constant_nm_per_a"),
+        ratio=_number(parser, "transmission", "gear_ratio", "> 0"),
+        efficiency=_number(parser, "transmission", "efficiency", "(0, 1]"),
+        torque_constant=_number(parser, "transmission", "torque_constant_nm_per_a", "> 0"),
     )
 
-    catalog_path = parser.get("springs", "catalog_path").strip()
+    catalog_path = parser.get("springs", "catalog_path")
     if catalog_path:
         resolved = Path(catalog_path)
         if not resolved.is_absolute():
@@ -231,17 +227,13 @@ def _build(parser, base_dir) -> ToolkitConfig:
             raise ConfigError(str(exc)) from exc
     else:
         catalog = DEFAULT_CATALOG
-    pre_wind = _get_optional_float(parser, "springs", "pre_wind_rad")
-    if pre_wind is not None:
-        pre_wind = check_real("pre_wind", pre_wind, ">= 0")
+    pre_wind = _number(parser, "springs", "pre_wind_rad", ">= 0")
 
-    angle_bounds = (_get_float(parser, "analysis", "angle_min_deg"),
-                    _get_float(parser, "analysis", "angle_max_deg"))
+    angle_bounds = (_number(parser, "analysis", "angle_min_deg"),
+                    _number(parser, "analysis", "angle_max_deg"))
     if not angle_bounds[0] < angle_bounds[1]:
         raise ConfigError("[analysis] angle_min_deg must be below angle_max_deg")
-    max_fraction = _get_float(parser, "analysis", "max_interpolated_fraction")
-    if not 0.0 <= max_fraction <= 1.0:
-        raise ConfigError("[analysis] max_interpolated_fraction must lie in [0, 1]")
+    max_fraction = _number(parser, "analysis", "max_interpolated_fraction", "[0, 1]")
 
     return ToolkitConfig(segments, convention, gravity, postures, motion, load,
                          gearing, catalog, pre_wind, angle_bounds, max_fraction)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import TorqueCurve
-from .errors import DomainError, check_real
+from .errors import DomainError, check_fields, check_real
 from .transmission import SpringSpec
 
 # 1 N*m/rad expressed in N*mm/deg.
@@ -47,8 +47,7 @@ class SpringCatalogEntry:
     stiffness: float  # N*mm/deg
 
     def __post_init__(self):
-        if not math.isfinite(self.stiffness) or self.stiffness <= 0:
-            raise DomainError(f"catalog entry {self.name!r}: stiffness must be > 0")
+        check_fields(self, f"catalog entry {self.name!r}: ", stiffness="> 0")
 
 
 @dataclass(frozen=True)
@@ -72,23 +71,27 @@ def fit_linear(curve: TorqueCurve) -> LinearFit:
     """Least-squares line of moment on angle.
 
     R^2 = 1 - SS_res/SS_tot, clamped to [0, 1]; for constant moments
-    (SS_tot = 0) it is 1 when the fit is exact and 0 otherwise.
+    (SS_tot = 0) it is 1 when the fit is exact and 0 otherwise.  A sum
+    that overflows a float raises :class:`DomainError`.
     """
     x = np.asarray(curve.angles, dtype=float)
     y = np.asarray(curve.moments, dtype=float)
     n = x.size
     if n < 2:
         raise DomainError("fit needs at least 2 samples")
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
-        raise DomainError("fit needs at least 2 distinct angles")
-    sxy = float(((x - xm) * (y - ym)).sum())
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
+        xm = x.mean()
+        ym = y.mean()
+        sxx = float(((x - xm) ** 2).sum())
+        if sxx == 0.0:
+            raise DomainError("fit needs at least 2 distinct angles")
+        sxy = float(((x - xm) * (y - ym)).sum())
+        slope = sxy / sxx
+        intercept = ym - slope * xm
+        ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+        ss_tot = float(((y - ym) ** 2).sum())
+    if not np.isfinite((sxx, sxy, ss_res, ss_tot)).all():
+        raise DomainError("fit sums are not finite: the curve's angles or moments are too large")
     if ss_tot == 0.0:
         r_squared = 1.0 if ss_res == 0.0 else 0.0
     else:

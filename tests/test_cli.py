@@ -89,6 +89,35 @@ def test_fit_rejects_malformed_curve(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0.1,0.5"], "fit needs at least 2 samples"),
+    (["-1e308,0", "0,1", "1e308,2"],
+     "fit sums are not finite: the curve's angles or moments are too large"),
+], ids=["one-row", "angles-near-the-float-limit"])
+def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows, message):
+    mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
+    mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")
+    worst.write_text("\n".join(["angle_rad,moment_Nm", *rows, ""]))
+    out = tmp_path / "design.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", str(mild), str(worst), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"data error: {worst}: {message}\n")
+    assert not out.exists()
+
+
+def test_simulate_writes_nothing_when_a_curve_cannot_be_fitted(tmp_path, capsys):
+    cfg = tmp_path / "heavy.ini"
+    cfg.write_text("[segments]\nhand_mass_kg = 1e300\n")
+    out = tmp_path / "curves"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(cfg), "simulate", "--posture", "all", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "data error: fit sums are not finite: "
+                                       "the curve's angles or moments are too large\n")
+    assert not out.exists()
+
+
 def test_fit_to_stdout(tmp_path, capsys):
     curve_path = tmp_path / "c.csv"
     fileio_lines = ["angle_rad,moment_Nm"] + [f"{a / 10},{0.3 - 0.5 * a / 10}"

@@ -102,15 +102,83 @@ def test_negative_pre_wind_is_a_config_error_for_every_command(tmp_path, capsys)
     path.write_text("[springs]\npre_wind_rad = -1\n")
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert str(info.value) == "pre_wind must be >= 0, got -1.0"
+    assert str(info.value) == "[springs] pre_wind_rad must be >= 0, got -1.0"
     for command in (["simulate", "--posture", "P1", "--out", str(tmp_path / "p1.csv")],
                     ["analyze", str(tmp_path), "--out", str(tmp_path / "report.json")],
                     ["fit", str(tmp_path / "p1.csv")]):
         assert main(["--config", str(path), *command]) == 3
-        assert capsys.readouterr().err == "config error: pre_wind must be >= 0, got -1.0\n"
+        assert capsys.readouterr().err == ("config error: [springs] pre_wind_rad must be >= 0, "
+                                           "got -1.0\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["toolkit.ini"]
     path.write_text("[springs]\npre_wind_rad = 0\n")
     assert load_config(path).pre_wind == 0.0
+
+
+# Per config key: a value its rule rejects and how the rejection reads.  Degree
+# keys are quoted in degrees, as written, never in the radians the model uses.
+REJECTED = [
+    ("segments", "hand_mass_kg", "-0.5", "be >= 0, got -0.5"),
+    ("segments", "hand_length_m", "0", "be > 0, got 0.0"),
+    ("segments", "hand_com_ratio", "1.5", "lie in [0, 1], got 1.5"),
+    ("segments", "body_mass_kg", "-70", "be > 0, got -70.0"),
+    ("segments", "sex", "robot", "be one of ['female', 'male'], got 'robot'"),
+    ("segments", "hand_mass_fraction", "0.05", "lie in (0, 0.05), got 0.05"),
+    ("kinematics", "axis_obliquity_deg", "inf", "be finite"),
+    ("kinematics", "grip_extension_deg", "nan", "be finite"),
+    ("kinematics", "carrying_angle_deg", "-inf", "be finite"),
+    ("kinematics", "gravity_m_s2", "0", "be > 0, got 0.0"),
+    *(("postures", f"p{n}_{joint}_deg", "1e999", "be finite")
+      for n in (1, 2, 3) for joint in ("shoulder", "elbow", "pronation")),
+    ("motion", "mean_deg", "nan", "be finite"),
+    ("motion", "amplitude_deg", "-1", "be >= 0, got -1.0"),
+    ("motion", "min_angle_deg", "-inf", "be finite"),
+    ("motion", "max_angle_deg", "inf", "be finite"),
+    ("load", "handheld_mass_kg", "-0.3", "be >= 0, got -0.3"),
+    ("load", "grip_offset_m", "nan", "be >= 0, got nan"),
+    ("transmission", "gear_ratio", "-128", "be > 0, got -128.0"),
+    ("transmission", "efficiency", "0", "lie in (0, 1], got 0.0"),
+    ("transmission", "torque_constant_nm_per_a", "0", "be > 0, got 0.0"),
+    ("springs", "pre_wind_rad", "-inf", "be >= 0, got -inf"),
+    ("analysis", "angle_min_deg", "nan", "be finite"),
+    ("analysis", "angle_max_deg", "inf", "be finite"),
+    ("analysis", "max_interpolated_fraction", "1.01", "lie in [0, 1], got 1.01"),
+]
+# sex and the hand-mass fraction are read only when a body mass is given
+_WITH_BODY_MASS = {"sex", "hand_mass_fraction"}
+
+
+def test_rejected_table_covers_every_key_but_the_catalog_path():
+    keys = {(section, key) for section, key, _, _ in REJECTED}
+    assert len(keys) == len(REJECTED)
+    assert keys == {(section, key) for section, defaults in DEFAULTS.items()
+                    for key in defaults} - {("springs", "catalog_path")}
+
+
+@pytest.mark.parametrize("section, key, value, must", REJECTED,
+                         ids=[key for _, key, _, _ in REJECTED])
+def test_rejected_value_is_one_line_naming_its_key(tmp_path, capsys, section, key, value, must):
+    path = tmp_path / "toolkit.ini"
+    extra = "body_mass_kg = 70\n" if key in _WITH_BODY_MASS else ""
+    path.write_text(f"[{section}]\n{extra}{key} = {value}\n")
+    out = tmp_path / "curves"
+    assert main(["--config", str(path), "simulate", "--posture", "all", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"config error: [{section}] {key} must {must}\n")
+    assert not out.exists()
+
+
+def test_each_rule_admits_its_boundary_value(tmp_path):
+    path = tmp_path / "toolkit.ini"
+    path.write_text("[segments]\nhand_mass_kg = 0\nhand_com_ratio = 1\n"
+                    "[motion]\namplitude_deg = 0\n[load]\nhandheld_mass_kg = 0\ngrip_offset_m = 0\n"
+                    "[transmission]\nefficiency = 1\n[springs]\npre_wind_rad = 0\n"
+                    "[analysis]\nmax_interpolated_fraction = 0\n")
+    cfg = load_config(path)
+    assert (cfg.segments["hand"].mass, cfg.segments["hand"].com_ratio) == (0.0, 1.0)
+    assert (cfg.motion.amplitude, cfg.load.handheld_mass, cfg.load.grip_offset) == (0.0, 0.0, 0.0)
+    assert (cfg.gearing.efficiency, cfg.pre_wind, cfg.max_interpolated_fraction) == (1.0, 0.0, 0.0)
+    path.write_text("[segments]\nhand_com_ratio = 0\n[analysis]\nmax_interpolated_fraction = 1\n")
+    cfg = load_config(path)
+    assert (cfg.segments["hand"].com_ratio, cfg.max_interpolated_fraction) == (0.0, 1.0)
 
 
 def test_motion_must_fit_joint_limits(tmp_path):

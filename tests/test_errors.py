@@ -17,7 +17,7 @@ from wristkit.biomech import (ArmPosture, BodySegment, KinematicConvention, Load
                               wrist_reaction_moment)
 from wristkit.cli import main
 from wristkit.errors import DomainError
-from wristkit.springs import catalog_match, stiffness_to_nmm_per_deg
+from wristkit.springs import SpringCatalogEntry, catalog_match, stiffness_to_nmm_per_deg
 from wristkit.transmission import CableRoute, Gearing, SpringSpec, capstan_transmit
 from wristkit.trials import (LikertResponse, TrialMeta, TrialMetrics, aggregate_report,
                              joint_torque_estimate)
@@ -92,6 +92,8 @@ MESSAGES = [
     *_rows("capstan-force", lambda v: capstan_transmit(v, CableRoute(), "opposing"),
            "force must be >= 0, got {v}", NEGATIVE),
     # springs
+    *_rows("catalog-entry", lambda v: SpringCatalogEntry("A", v),
+           "catalog entry 'A': stiffness must be > 0, got {v}", NONPOSITIVE),
     *_rows("stiffness-units", stiffness_to_nmm_per_deg,
            "stiffness must be > 0, got {v}", NONPOSITIVE),
     *_rows("catalog-target", catalog_match,
@@ -110,11 +112,11 @@ def test_rejected_value_message(make, value, message):
 
 
 @pytest.mark.parametrize("section, lines, message", [
-    ("transmission", ["efficiency = 1.5"], "efficiency must lie in (0, 1], got 1.5"),
-    ("segments", ["hand_length_m = 0"], "segment 'hand': length must be > 0, got 0.0"),
+    ("transmission", ["efficiency = 1.5"], "[transmission] efficiency must lie in (0, 1], got 1.5"),
+    ("segments", ["hand_length_m = 0"], "[segments] hand_length_m must be > 0, got 0.0"),
     ("segments", ["body_mass_kg = 70", "hand_mass_fraction = 0.2"],
-     "fraction_override must lie in (0, 0.05), got 0.2"),
-])
+     "[segments] hand_mass_fraction must lie in (0, 0.05), got 0.2"),
+], ids=["efficiency", "hand-length", "hand-fraction"])
 def test_config_domain_error_is_one_exit_3_line(tmp_path, capsys, section, lines, message):
     config = tmp_path / "toolkit.ini"
     config.write_text("\n".join([f"[{section}]", *lines, ""]))
@@ -162,8 +164,9 @@ def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     (lambda: sweep_torque_curve(HAND, P1, MotionProfile(0.0, 0.5), LOAD, n_samples="3"),
      "n_samples must be a real number, got '3'"),
     (lambda: LikertResponse("P1", "size", "3"), "score must be a real number, got '3'"),
+    (lambda: SpringCatalogEntry("A", "1"), "catalog entry 'A': stiffness must be a real number, got '1'"),
 ], ids=["str", "none", "str-trials", "complex", "str-finite", "numpy-nan", "str-n-samples",
-        "str-likert-score"])
+        "str-likert-score", "str-catalog-entry"])
 def test_non_numbers_raise_domain_error(make, message):
     with pytest.raises(DomainError) as info:
         make()
