@@ -244,6 +244,7 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     """
     n_samples = check_real("n_samples", n_samples, ">= 2", integer=True)
     angles = np.linspace(*motion.angle_range(), n_samples)
-    moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
+    with np.errstate(over="ignore", invalid="ignore"):  # TorqueCurve rejects what overflows
+        moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)
 

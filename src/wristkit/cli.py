@@ -25,6 +25,8 @@ from .config import load_config
 from .errors import ConfigError, DataError, DomainError
 from .transmission import pretension_torque
 
+MAX_SAMPLES = 1_000_000  # simulate --samples: refused above it, before numpy allocates
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract reserves 2 for data."""
@@ -44,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--posture", default="all",
                        choices=["P1", "P2", "P3", "all", "custom"])
     p_sim.add_argument("--samples", type=int, default=50,
-                       help="samples across the motion range (default 50)")
+                       help=f"samples across the motion range, 2 to {MAX_SAMPLES:,} "
+                            f"(default 50)")
     p_sim.add_argument("--out", required=True, metavar="PATH",
                        help="output CSV (or directory when --posture all)")
     p_sim.add_argument("--shoulder-deg", type=float, help="custom posture only")
@@ -85,22 +88,31 @@ def _curve_summary(curve) -> str:
 
 def cmd_simulate(cfg, args) -> int:
     if args.posture == "custom":
-        angles = (args.shoulder_deg, args.elbow_deg, args.pronation_deg)
-        if any(a is None for a in angles):
+        flags = {"--shoulder-deg": args.shoulder_deg, "--elbow-deg": args.elbow_deg,
+                 "--pronation-deg": args.pronation_deg}
+        if None in flags.values():
             raise ConfigError("custom posture needs --shoulder-deg, --elbow-deg, "
                               "and --pronation-deg")
-        selected = [ArmPosture(*(math.radians(a) for a in angles), label="custom")]
+        for flag, value in flags.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
+        selected = [ArmPosture(*(math.radians(a) for a in flags.values()), label="custom")]
     elif args.posture == "all":
         selected = list(cfg.postures.values())
     else:
         selected = [cfg.postures[args.posture]]
-    if args.samples < 2:
-        raise ConfigError("--samples must be at least 2")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must be an integer in [2, {MAX_SAMPLES}], "
+                          f"got {args.samples}")
 
-    curves = [sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load,
-                                 args.samples, cfg.gravity, cfg.convention)
-              for posture in selected]
-    summaries = [_curve_summary(curve) for curve in curves]  # a fit that fails writes nothing
+    curves, summaries = [], []
+    for posture in selected:
+        try:  # a curve that is not finite or cannot be fitted writes nothing
+            curves.append(sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load,
+                                             args.samples, cfg.gravity, cfg.convention))
+            summaries.append(_curve_summary(curves[-1]))
+        except DomainError as exc:
+            raise DataError(f"{posture.label}: {exc}") from None
     out = Path(args.out)
     paths = [out] if len(curves) == 1 else [out / f"{c.posture_label}.csv" for c in curves]
     for curve, path in zip(curves, paths):

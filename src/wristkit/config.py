@@ -114,7 +114,8 @@ def _read_ini(path) -> configparser.ConfigParser:
             with path.open(encoding="utf-8") as handle:
                 user.read_file(handle)
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            # configparser spreads a parse error over several lines; print it on one
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
         if user.defaults():
             raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
                               f"set each key in its own section")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wristkit.cli import main
+from wristkit.cli import MAX_SAMPLES, main
 from wristkit import fileio
 
 import corpus
@@ -56,6 +57,27 @@ def test_simulate_custom_posture(tmp_path, capsys):
     assert out.exists()
     assert run(["simulate", "--posture", "custom", "--out", str(out)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--shoulder-deg", "--elbow-deg", "--pronation-deg"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_custom_angle(tmp_path, capsys, flag, value):
+    angles = {"--shoulder-deg": "10", "--elbow-deg": "90", "--pronation-deg": "45", flag: value}
+    out = tmp_path / "c.csv"
+    argv = [arg for pair in angles.items() for arg in pair]
+    assert run(["simulate", "--posture", "custom", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"config error: {flag} must be finite, got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [1, MAX_SAMPLES + 1, 10**20])
+def test_simulate_rejects_a_sample_count_out_of_range(tmp_path, capsys, samples):
+    # never run a count inside the bound but large: numpy would allocate it
+    out = tmp_path / "curves"
+    assert run(["simulate", "--samples", str(samples), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"config error: --samples must be an integer in "
+                                       f"[2, {MAX_SAMPLES}], got {samples}\n")
+    assert not out.exists()
 
 
 def test_fit_golden_line(tmp_path, capsys):
@@ -113,9 +135,33 @@ def test_simulate_writes_nothing_when_a_curve_cannot_be_fitted(tmp_path, capsys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["--config", str(cfg), "simulate", "--posture", "all", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "data error: fit sums are not finite: "
+    assert capsys.readouterr() == ("", "data error: P1: fit sums are not finite: "
                                        "the curve's angles or moments are too large\n")
     assert not out.exists()
+
+
+def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[load]\nhandheld_mass_kg = 1e308\ngrip_offset_m = 1e308\n")
+    out = tmp_path / "curves"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--config", str(cfg), "simulate", "--posture", "all", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "data error: P1: curve samples must be finite\n")
+    assert not out.exists()
+
+
+def test_fit_reports_the_pretension_of_a_pre_wound_spring(tmp_path, capsys):
+    cfg = tmp_path / "wound.ini"
+    cfg.write_text("[springs]\npre_wind_rad = 0.35\n")
+    curve, out = tmp_path / "P3.csv", tmp_path / "design.json"
+    assert run(["simulate", "--posture", "P3", "--out", str(curve)]) == 0
+    assert run(["--config", str(cfg), "fit", str(curve), "--out", str(out)]) == 0
+    spring = json.loads(out.read_text())["spring"]
+    assert spring["pre_wind_rad"] == 0.35
+    assert spring["pretension_torque_nm"] == pytest.approx(
+        spring["stiffness_nm_per_rad"] * 0.35, rel=1e-5)
+    capsys.readouterr()
 
 
 def test_fit_to_stdout(tmp_path, capsys):
@@ -316,19 +362,47 @@ def test_warnings_print_as_one_line(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_warnings_as_errors(argv):
+def _python(args, warning="error"):
+    """``python -W <warning> <args>`` on this checkout's sources, as a user runs it."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-W", "error", "-m", "wristkit", *argv], env=env,
+    return subprocess.run([sys.executable, "-W", warning, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _readme_blocks(language):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```$", readme, re.M | re.S)
+
+
+def test_readme_python_blocks_run_with_warnings_as_errors():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        done = _python(["-c", block])
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+
+
+def test_readme_config_sizes_the_spring_for_the_worst_case_posture(tmp_path):
+    # the paper's chain as a user runs it: every preset posture, then the fit
+    (ini,) = _readme_blocks("ini")
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(ini)
+    curves, design = tmp_path / "curves", tmp_path / "design.json"
+    for argv in (["simulate", "--posture", "all", "--out", str(curves)],
+                 ["fit", *(str(curves / f"{p}.csv") for p in ("P1", "P2", "P3")),
+                  "--out", str(design)]):
+        done = _python(["-m", "wristkit", "--config", str(cfg), *argv], "error::UserWarning")
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert json.loads(design.read_text())["worst_case"] == "P3"
 
 
 def test_warning_as_error_in_config_exits_3(tmp_path):
     cfg = tmp_path / "old.ini"
     cfg.write_text("[transmission]\nfriction_mu = 0.1\n")
     out = tmp_path / "c.csv"
-    done = _run_warnings_as_errors(["--config", str(cfg), "simulate", "--posture", "P1",
-                                    "--out", str(out)])
+    done = _python(["-m", "wristkit", "--config", str(cfg), "simulate", "--posture", "P1",
+                    "--out", str(out)])
     assert done.returncode == 3, done.stderr
     assert done.stderr == f"config error: {cfg}: [transmission] friction_mu is retired and ignored\n"
     assert done.stdout == "" and not out.exists()
@@ -340,7 +414,7 @@ def test_warning_as_error_in_analyze_exits_2(tmp_path, corpus_dir):
     for src in sorted(p for p in corpus_dir.iterdir() if p.name.startswith("P1_"))[:2]:
         shutil.copy(src, work / src.name)
     out = tmp_path / "report.json"
-    done = _run_warnings_as_errors(["analyze", str(work), "--out", str(out)])
+    done = _python(["-m", "wristkit", "analyze", str(work), "--out", str(out)])
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("data error: friedman test on rom_total_deg omitted: ")
     assert done.stderr.count("\n") == 1

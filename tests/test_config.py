@@ -84,6 +84,21 @@ def test_undecodable_config_is_a_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, line", [("\x00", r"'\x00'"),
+                                        ("[load]\nhandheld_mass_kg\n", "'handheld_mass_kg")],
+                         ids=["no-section", "no-value"])
+def test_unparsable_config_is_one_line(tmp_path, capsys, text, line):
+    # configparser's own wording, which Python versions vary, spans several lines
+    path = tmp_path / "toolkit.ini"
+    path.write_text(text)
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(path), "simulate", "--posture", "P1", "--out", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith(f"config error: {path}: ")
+    assert stderr.count("\n") == 1 and line in stderr
+    assert not out.exists()
+
+
 def test_invalid_values_rejected(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_text("[transmission]\nefficiency = 1.5\n")

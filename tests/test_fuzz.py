@@ -1,15 +1,17 @@
 """Fuzz every reader and the CLI with arbitrary bytes.
 
 A reader may fail only with the toolkit's own errors, and the CLI only
-with an exit code of the 0/1/2/3 contract, never with a traceback.  The
-inputs mix raw bytes with near-valid files (the right header, then rows
-of plausible and hostile cells) so the search gets past the header check.
+with exit 2 or 3 and one error line that writes nothing, never with a
+traceback.  The inputs mix raw bytes with near-valid files (the right
+header, then rows of plausible and hostile cells) so the search gets
+past the header check.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import warnings
 
@@ -105,24 +107,43 @@ def test_reader_raises_only_library_errors(work, kind, data):
         pass
 
 
-def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _run(argv):
+    """The CLI's exit code and what it printed on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+ERROR_EXITS = {"config error": 3, "data error": 2, "i/o error": 2}
+
+
+def _assert_exit_contract(case, argv, rejected=None):
+    """Run the CLI on the one file in ``case``: it exits 0, or with the code of
+    one stderr error line, after at most one ``rejected <rejected>: …`` line,
+    and writes nothing."""
+    code, err = _run(argv)
+    if code == 0:
+        return
+    if rejected and err.startswith(f"rejected {rejected}: "):
+        err = err.split("\n", 1)[1]
+    assert ERROR_EXITS.get(err.split(":", 1)[0]) == code, err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert len(os.listdir(case)) == 1
 
 
 @FUZZ
 @given(data=READERS["curve"][1])
 def test_cli_fit(work, data):
     case = _fresh(work, "curve.csv", data)
-    assert _exit_code(["fit", str(case / "curve.csv"),
-                       "--out", str(case / "design.json")]) in (0, 1, 2, 3)
+    _assert_exit_contract(case, ["fit", str(case / "curve.csv"),
+                                 "--out", str(case / "design.json")])
 
 
 @FUZZ
 @given(data=REPORTS)
 def test_cli_report(work, data):
     case = _fresh(work, "report.json", data)
-    assert _exit_code(["report", str(case / "report.json")]) in (0, 1, 2, 3)
+    _assert_exit_contract(case, ["report", str(case / "report.json")])
 
 
 @FUZZ
@@ -130,16 +151,16 @@ def test_cli_report(work, data):
 def test_cli_analyze_one_file(work, data, likert):
     name = "likert.csv" if likert else TRIAL_NAME
     case = _fresh(work, name, data)
-    assert _exit_code(["analyze", str(case), "--out",
-                       str(work / "report.json")]) in (0, 1, 2, 3)
+    _assert_exit_contract(case, ["analyze", str(case), "--out", str(case / "out" / "report.json")],
+                          rejected=name)
 
 
 @FUZZ
 @given(data=CONFIGS)
 def test_cli_config(work, data):
     case = _fresh(work, "toolkit.ini", data)
-    assert _exit_code(["--config", str(case / "toolkit.ini"), "simulate", "--posture",
-                       "P1", "--samples", "5", "--out", str(case / "c.csv")]) in (0, 1, 2, 3)
+    _assert_exit_contract(case, ["--config", str(case / "toolkit.ini"), "simulate", "--posture",
+                                 "P1", "--samples", "5", "--out", str(case / "c.csv")])
 
 
 # A study of one good corpus log and up to four logs with the right header
@@ -183,7 +204,7 @@ def test_cli_analyze_never_lets_one_log_end_the_study(work, corpus_dir, logs):
         warnings.simplefilter("error")
         # the one warning a study this small may raise by design
         warnings.filterwarnings("ignore", "friedman test on .* omitted", UserWarning)
-        assert _exit_code(["analyze", str(case), "--out", str(work / "report.json")]) == 0
+        assert _run(["analyze", str(case), "--out", str(work / "report.json")])[0] == 0
     report = json.loads((work / "report.json").read_text(encoding="utf-8"))
     accepted = [corpus.trial_name(t["participant"], t["posture"], t["load"], t["spring"],
                                   t["trial"]) for t in report["trials"]]
