@@ -50,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default 50)")
     p_sim.add_argument("--out", required=True, metavar="PATH",
                        help="output CSV (or directory when --posture all)")
-    p_sim.add_argument("--shoulder-deg", type=float, help="custom posture only")
-    p_sim.add_argument("--elbow-deg", type=float, help="custom posture only")
-    p_sim.add_argument("--pronation-deg", type=float, help="custom posture only")
+    for flag in ("--shoulder-deg", "--elbow-deg", "--pronation-deg"):
+        p_sim.add_argument(flag, type=float, help=f"custom posture only; a negative value in "
+                                                  f"exponent form is written {flag}=-1e1")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit curves and size the spring")
@@ -130,12 +130,12 @@ def cmd_fit(cfg, args) -> int:
     curves = {path: fileio.read_torque_curve(path, Path(path).stem) for path in args.curves}
     worst = springs.worst_case_select(curves.values())
     catalog = fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog
-    try:  # a spring the worst-case curve cannot give is an error of that file
+    try:  # no spring from the worst-case curve, or a warning made an error: that file's error
         fit = springs.fit_linear(worst)
         spring = springs.derive_spring(fit, cfg.pre_wind)
         stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
         selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
-    except DomainError as exc:
+    except (DomainError, Warning) as exc:
         raise DataError(f"{next(p for p, c in curves.items() if c is worst)}: {exc}") from None
 
     def entry(e):

@@ -50,6 +50,7 @@ def check_real(name: str, value, rule: str = "finite", integer: bool = False):
         ok = math.isfinite(value) and (not integer or value == int(value))
     except OverflowError:   # an int too large for a float
         ok = False
+    shape = "be finite"
     if rule[0] in "[(":
         lo, hi = (float(end) for end in rule[1:-1].split(", "))
         ok = ok and ((lo <= value if rule[0] == "[" else lo < value)
@@ -60,8 +61,7 @@ def check_real(name: str, value, rule: str = "finite", integer: bool = False):
         ok = ok and (value >= float(bound) if op == ">=" else value > float(bound))
         shape = f"be an integer {rule}" if integer else f"be {rule}"
     if not ok:
-        raise DomainError(f"{name} must be finite" if rule == "finite"
-                          else f"{name} must {shape}, got {value}")
+        raise DomainError(f"{name} must {shape}, got {value}")
     return int(value) if integer else float(value)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .biomech import TorqueCurve
 from .errors import DataError, DomainError
 from .springs import SpringCatalogEntry
-from .trials import BUTTONS, LikertResponse, TrialLog, TrialMeta
+from .trials import BUTTONS, LikertResponse, TrialLog, TrialMeta, TrialRecords
 
 TRIAL_NAME_RE = re.compile(
     r"^P(?P<participant>[^_]+)_POS(?P<posture>\d+)_(?P<load>.+)_"
@@ -43,6 +43,7 @@ _LIKERT_HEADER = ["participant", "item", "score"]
 _NOT_PLAIN = '"\r\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+_ARRAYS = (list, tuple, TrialRecords)  # rendered as JSON arrays
 
 
 def _read_text(path) -> str:
@@ -291,21 +292,22 @@ def _json(value, indent: str) -> str:
 
 
 def _pieces(value, indent="\n", depth=2):
-    """``_json(value, indent)`` of a dict, list or tuple in pieces, one per member of its first
-    ``depth`` levels; any other value, or a key that is not a str, is a ``TypeError``."""
+    """``_json(value, indent)`` of a dict or an ``_ARRAYS`` sequence (walked, not copied) in
+    pieces, one per member of its first ``depth`` levels; any other value, or a key that is
+    not a str, is a ``TypeError``."""
     if isinstance(value, dict):
         brackets, members = "{}", [(encode_basestring_ascii(key) + ": ", value[key])
                                    for key in sorted(value)]
-    elif isinstance(value, (list, tuple)):
-        brackets, members = "[]", [("", child) for child in value]
+    elif isinstance(value, _ARRAYS):
+        brackets, members = "[]", (("", child) for child in value)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     inner = indent + "  "
     for n, (prefix, child) in enumerate(members):
         yield ("," if n else brackets[0]) + inner + prefix
-        deeper = depth > 1 and isinstance(child, (dict, list, tuple))
+        deeper = depth > 1 and isinstance(child, (dict, *_ARRAYS))
         yield from _pieces(child, inner, depth - 1) if deeper else (_json(child, inner),)
-    yield indent + brackets[1] if members else brackets
+    yield indent + brackets[1] if len(value) else brackets
 
 
 def render_report(report: dict) -> str:

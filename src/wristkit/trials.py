@@ -15,6 +15,7 @@ regardless of the order trials were ingested.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -394,15 +395,48 @@ def _friedman_matrix(metrics, value_of):
     return matrix, None
 
 
+class TrialRecords:
+    """The report's per-trial records in the order of ``metrics``, each built on access:
+    a read-only sequence, so no list of them is held (``list(records)`` makes one)."""
+
+    def __init__(self, metrics, gear: Gearing):
+        self._metrics, self._gear = metrics, gear
+
+    def __len__(self) -> int:
+        return len(self._metrics)
+
+    def __getitem__(self, index) -> dict:
+        return self._record(self._metrics[operator.index(index)])
+
+    def __iter__(self):
+        return map(self._record, self._metrics)
+
+    def _record(self, m) -> dict:
+        return {
+            "participant": m.meta.participant,
+            "posture": m.meta.posture,
+            "load": m.meta.load,
+            "spring": m.meta.spring,
+            "trial": m.meta.trial_index,
+            "rom_ab_deg": m.rom_ab,
+            "rom_ad_deg": m.rom_ad,
+            "rom_total_deg": m.rom_total,
+            "tau_rms_nm": m.tau_rms,
+            "joint_torque_nm": joint_torque_estimate(m.tau_rms, self._gear),
+            "n_samples": m.n_samples,
+            "interpolated_fraction": m.interpolated_fraction,
+        }
+
+
 def aggregate_report(metrics, gear: Gearing, rejected=(), likert_responses=()) -> dict:
     """Reduce per-trial metrics to the study-level report structure.
 
     ``metrics`` must all carry metadata.  The report holds per-trial
-    records (in the given order), per-spring distribution summaries,
-    per-spring-and-posture repeatability of trial pairs, Friedman tests
-    across springs on total ROM and RMS torque (omitted with a warning
-    when the design is incomplete), Likert summaries when responses are
-    given, and the list of rejected trials.
+    records (a :class:`TrialRecords`, in the given order), per-spring
+    distribution summaries, per-spring-and-posture repeatability of trial
+    pairs, Friedman tests across springs on total ROM and RMS torque
+    (omitted with a warning when the design is incomplete), Likert
+    summaries when responses are given, and the list of rejected trials.
     """
     metrics = list(metrics)
     if not metrics:
@@ -411,21 +445,7 @@ def aggregate_report(metrics, gear: Gearing, rejected=(), likert_responses=()) -
         if m.meta is None:
             raise DomainError("aggregate_report needs metadata on every trial")
 
-    report = {"n_trials": len(metrics)}
-    report["trials"] = [{
-        "participant": m.meta.participant,
-        "posture": m.meta.posture,
-        "load": m.meta.load,
-        "spring": m.meta.spring,
-        "trial": m.meta.trial_index,
-        "rom_ab_deg": m.rom_ab,
-        "rom_ad_deg": m.rom_ad,
-        "rom_total_deg": m.rom_total,
-        "tau_rms_nm": m.tau_rms,
-        "joint_torque_nm": joint_torque_estimate(m.tau_rms, gear),
-        "n_samples": m.n_samples,
-        "interpolated_fraction": m.interpolated_fraction,
-    } for m in metrics]
+    report = {"n_trials": len(metrics), "trials": TrialRecords(metrics, gear)}
 
     springs = sorted({m.meta.spring for m in metrics})
     report["rom_total_deg"] = {

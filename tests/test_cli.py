@@ -70,6 +70,22 @@ def test_simulate_rejects_a_non_finite_custom_angle(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+def test_simulate_takes_a_negative_angle_in_exponent_form_after_equals(tmp_path, capsys):
+    """argparse reads ``-1e1`` or ``-inf`` after a space as an option, not a value."""
+    angles = ["--elbow-deg", "90", "--pronation-deg", "45"]
+    for name, shoulder in (("a.csv", ["--shoulder-deg=-1e1"]),
+                           ("b.csv", ["--shoulder-deg", "-10"])):
+        assert run(["simulate", "--posture", "custom", *shoulder, *angles,
+                    "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "c.csv"
+    assert run(["simulate", "--posture", "custom", "--shoulder-deg", "10", "--elbow-deg", "90",
+                "--pronation-deg=-inf", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "config error: --pronation-deg must be finite, got -inf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [1, MAX_SAMPLES + 1, 10**20])
 def test_simulate_rejects_a_sample_count_out_of_range(tmp_path, capsys, samples):
     # never run a count inside the bound but large: numpy would allocate it
@@ -115,7 +131,9 @@ def test_fit_rejects_malformed_curve(tmp_path, capsys):
     (["0.1,0.5"], "fit needs at least 2 samples"),
     (["-1e308,0", "0,1", "1e308,2"],
      "fit sums are not finite: the curve's angles or moments are too large"),
-], ids=["one-row", "angles-near-the-float-limit"])
+    (["0,1", "1,2"], "derived neutral angle -1 rad is negative: "
+                     "the spring stays loaded across the whole motion range"),
+], ids=["one-row", "angles-near-the-float-limit", "negative-neutral-angle-as-error"])
 def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows, message):
     mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
     mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")

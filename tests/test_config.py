@@ -138,24 +138,24 @@ REJECTED = [
     ("segments", "body_mass_kg", "-70", "be > 0, got -70.0"),
     ("segments", "sex", "robot", "be one of ['female', 'male'], got 'robot'"),
     ("segments", "hand_mass_fraction", "0.05", "lie in (0, 0.05), got 0.05"),
-    ("kinematics", "axis_obliquity_deg", "inf", "be finite"),
-    ("kinematics", "grip_extension_deg", "nan", "be finite"),
-    ("kinematics", "carrying_angle_deg", "-inf", "be finite"),
+    ("kinematics", "axis_obliquity_deg", "inf", "be finite, got inf"),
+    ("kinematics", "grip_extension_deg", "nan", "be finite, got nan"),
+    ("kinematics", "carrying_angle_deg", "-inf", "be finite, got -inf"),
     ("kinematics", "gravity_m_s2", "0", "be > 0, got 0.0"),
-    *(("postures", f"p{n}_{joint}_deg", "1e999", "be finite")
+    *(("postures", f"p{n}_{joint}_deg", "1e999", "be finite, got inf")
       for n in (1, 2, 3) for joint in ("shoulder", "elbow", "pronation")),
-    ("motion", "mean_deg", "nan", "be finite"),
+    ("motion", "mean_deg", "nan", "be finite, got nan"),
     ("motion", "amplitude_deg", "-1", "be >= 0, got -1.0"),
-    ("motion", "min_angle_deg", "-inf", "be finite"),
-    ("motion", "max_angle_deg", "inf", "be finite"),
+    ("motion", "min_angle_deg", "-inf", "be finite, got -inf"),
+    ("motion", "max_angle_deg", "inf", "be finite, got inf"),
     ("load", "handheld_mass_kg", "-0.3", "be >= 0, got -0.3"),
     ("load", "grip_offset_m", "nan", "be >= 0, got nan"),
     ("transmission", "gear_ratio", "-128", "be > 0, got -128.0"),
     ("transmission", "efficiency", "0", "lie in (0, 1], got 0.0"),
     ("transmission", "torque_constant_nm_per_a", "0", "be > 0, got 0.0"),
     ("springs", "pre_wind_rad", "-inf", "be >= 0, got -inf"),
-    ("analysis", "angle_min_deg", "nan", "be finite"),
-    ("analysis", "angle_max_deg", "inf", "be finite"),
+    ("analysis", "angle_min_deg", "nan", "be finite, got nan"),
+    ("analysis", "angle_max_deg", "inf", "be finite, got inf"),
     ("analysis", "max_interpolated_fraction", "1.01", "lie in [0, 1], got 1.01"),
 ]
 # sex and the hand-mass fraction are read only when a body mass is given

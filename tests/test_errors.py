@@ -46,37 +46,37 @@ MESSAGES = [
     *_rows("segment-com", lambda v: BodySegment("hand", 0.6, 0.19, v),
            "segment 'hand': com_ratio must lie in [0, 1], got {v}", (-0.1, 1.5) + NONFINITE),
     *_rows("posture-shoulder", lambda v: ArmPosture(v, 1.0, 1.5, "P1"),
-           "posture 'P1': shoulder_flexion must be finite", NONFINITE),
+           "posture 'P1': shoulder_flexion must be finite, got {v}", NONFINITE),
     *_rows("posture-elbow", lambda v: ArmPosture(0.5, v, 1.5, "P1"),
-           "posture 'P1': elbow_flexion must be finite", NONFINITE),
+           "posture 'P1': elbow_flexion must be finite, got {v}", NONFINITE),
     *_rows("posture-pronation", lambda v: ArmPosture(0.5, 1.0, v, "P1"),
-           "posture 'P1': forearm_pronation must be finite", NONFINITE),
+           "posture 'P1': forearm_pronation must be finite, got {v}", NONFINITE),
     *_rows("load-mass", lambda v: LoadSpec(v, 0.08),
            "handheld_mass must be >= 0, got {v}", NEGATIVE),
     *_rows("load-offset", lambda v: LoadSpec(0.5, v),
            "grip_offset must be >= 0, got {v}", NEGATIVE),
     *_rows("motion-mean", lambda v: MotionProfile(v, 0.5),
-           "mean_angle must be finite", NONFINITE),
+           "mean_angle must be finite, got {v}", NONFINITE),
     *_rows("motion-amplitude", lambda v: MotionProfile(0.0, v),
            "amplitude must be >= 0, got {v}", NEGATIVE),
     *_rows("convention-obliquity", lambda v: KinematicConvention(axis_obliquity=v),
-           "axis_obliquity must be finite", NONFINITE),
+           "axis_obliquity must be finite, got {v}", NONFINITE),
     *_rows("convention-grip", lambda v: KinematicConvention(grip_extension=v),
-           "grip_extension must be finite", NONFINITE),
+           "grip_extension must be finite, got {v}", NONFINITE),
     *_rows("convention-carrying", lambda v: KinematicConvention(carrying_angle=v),
-           "carrying_angle must be finite", NONFINITE),
+           "carrying_angle must be finite, got {v}", NONFINITE),
     *_rows("body-mass", lambda v: hand_mass_from_body(v, "male"),
            "body_mass must be > 0, got {v}", NONPOSITIVE),
     *_rows("hand-fraction", lambda v: hand_mass_from_body(70.0, "male", v),
            "fraction_override must lie in (0, 0.05), got {v}",
            (0.0, 0.05, 0.2, -1.0) + NONFINITE),
     *_rows("gravity", lambda v: wrist_reaction_moment(HAND, P1, 0.0, LOAD, g=v),
-           "g must be finite", NONFINITE),
+           "g must be finite, got {v}", NONFINITE),
     # transmission
     *_rows("spring-stiffness", lambda v: SpringSpec(v, 0.1),
            "stiffness must be > 0, got {v}", NONPOSITIVE),
     *_rows("spring-neutral", lambda v: SpringSpec(1.0, v),
-           "neutral_angle must be finite", NONFINITE),
+           "neutral_angle must be finite, got {v}", NONFINITE),
     *_rows("spring-pre-wind", lambda v: SpringSpec(1.0, 0.1, v),
            "pre_wind must be >= 0, got {v}", NEGATIVE),
     *_rows("route-mu", lambda v: CableRoute(friction_mu=v),
@@ -160,7 +160,7 @@ def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     (lambda: joint_torque_estimate("x", Gearing()), "tau_motor must be a real number, got 'x'"),
     (lambda: Gearing(ratio=1 + 2j), "ratio must be a real number, got (1+2j)"),
     (lambda: MotionProfile("0", 0.5), "mean_angle must be a real number, got '0'"),
-    (lambda: MotionProfile(np.float32("nan"), 0.5), "mean_angle must be finite"),
+    (lambda: MotionProfile(np.float32("nan"), 0.5), "mean_angle must be finite, got nan"),
     (lambda: sweep_torque_curve(HAND, P1, MotionProfile(0.0, 0.5), LOAD, n_samples="3"),
      "n_samples must be a real number, got '3'"),
     (lambda: LikertResponse("P1", "size", "3"), "score must be a real number, got '3'"),
@@ -187,7 +187,7 @@ def test_integer_checks_raise_their_own_message(make, message, value):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: Gearing(ratio=10**400), "ratio must be > 0, got 1" + "0" * 400),
-    (lambda: MotionProfile(-10**400, 0.5), "mean_angle must be finite"),
+    (lambda: MotionProfile(-10**400, 0.5), "mean_angle must be finite, got -1" + "0" * 400),
     (lambda: catalog_match(10**400), "target stiffness must be > 0, got 1" + "0" * 400),
     (lambda: LikertResponse("P1", "size", 10**400),
      "score must be an integer in [1, 10], got 1" + "0" * 400),

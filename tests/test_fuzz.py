@@ -11,7 +11,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import shutil
 import warnings
 
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wristkit import fileio
-from wristkit.cli import main
+from wristkit.cli import MAX_SAMPLES, main
 from wristkit.config import DEFAULTS, load_config
 from wristkit.errors import ConfigError, DataError, DomainError
 
@@ -117,18 +116,23 @@ def _run(argv):
 ERROR_EXITS = {"config error": 3, "data error": 2, "i/o error": 2}
 
 
-def _assert_exit_contract(case, argv, rejected=None):
-    """Run the CLI on the one file in ``case``: it exits 0, or with the code of
-    one stderr error line, after at most one ``rejected <rejected>: …`` line,
+def _tree(case):
+    return sorted(path.relative_to(case) for path in case.rglob("*"))
+
+
+def _assert_exit_contract(case, argv, rejected=None, errors=ERROR_EXITS):
+    """Run the CLI on the files in ``case``: it exits 0, or with the code of one
+    stderr line of ``errors``, after at most one ``rejected <rejected>: …`` line,
     and writes nothing."""
+    before = _tree(case)
     code, err = _run(argv)
     if code == 0:
         return
     if rejected and err.startswith(f"rejected {rejected}: "):
         err = err.split("\n", 1)[1]
-    assert ERROR_EXITS.get(err.split(":", 1)[0]) == code, err
+    assert errors.get(err.split(":", 1)[0]) == code, err
     assert err.count("\n") == 1 and err.endswith("\n"), err
-    assert len(os.listdir(case)) == 1
+    assert _tree(case) == before
 
 
 @FUZZ
@@ -161,6 +165,67 @@ def test_cli_config(work, data):
     case = _fresh(work, "toolkit.ini", data)
     _assert_exit_contract(case, ["--config", str(case / "toolkit.ini"), "simulate", "--posture",
                                  "P1", "--samples", "5", "--out", str(case / "c.csv")])
+
+
+# The design path on configs that load: each key but the catalog path, set to a value
+# its rule admits (``config._build``), up to +-1e308.  Any key not listed here is held
+# only to be finite.
+_ANY = st.floats(-1e308, 1e308)
+_AT_LEAST_0 = st.floats(0.0, 1e308)
+_ABOVE_0 = st.floats(0.0, 1e308, exclude_min=True)
+_RULES = {
+    "hand_mass_kg": _AT_LEAST_0, "hand_length_m": _ABOVE_0, "hand_com_ratio": st.floats(0.0, 1.0),
+    "body_mass_kg": _ABOVE_0, "sex": st.sampled_from(["female", "male"]),
+    "hand_mass_fraction": st.floats(0.0, 0.05, exclude_min=True, exclude_max=True),
+    "gravity_m_s2": _ABOVE_0, "amplitude_deg": _AT_LEAST_0,
+    "handheld_mass_kg": _AT_LEAST_0, "grip_offset_m": _AT_LEAST_0, "gear_ratio": _ABOVE_0,
+    "efficiency": st.floats(0.0, 1.0, exclude_min=True), "torque_constant_nm_per_a": _ABOVE_0,
+    "pre_wind_rad": _AT_LEAST_0, "max_interpolated_fraction": st.floats(0.0, 1.0),
+}
+DESIGN_KEYS = [(section, key) for section, keys in DEFAULTS.items()
+               for key in keys if key != "catalog_path"]
+# 2 to 60 samples, or a count the CLI refuses before numpy allocates: 0, 1 or too many
+_TOO_MANY = (MAX_SAMPLES + 1, 10**20)
+SAMPLES = st.integers(-len(_TOO_MANY), 60).map(lambda n: _TOO_MANY[n] if n < 0 else n)
+
+
+@st.composite
+def _design_config(draw) -> bytes:
+    chosen = draw(st.lists(st.sampled_from(DESIGN_KEYS), unique=True, max_size=8))
+    if ("segments", "body_mass_kg") in chosen:  # loads only with a sex or a fraction
+        chosen.append(("segments", "sex"))
+    lines = []
+    for section in DEFAULTS:
+        keys = [key for sec, key in DESIGN_KEYS if (sec, key) in chosen and sec == section]
+        lines += [f"[{section}]"] * bool(keys)
+        lines += [f"{key} = {draw(_RULES.get(key, _ANY))}" for key in keys]
+    return "\n".join(lines).encode()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(config=_design_config(), samples=SAMPLES,
+       custom=st.none() | st.tuples(st.floats(), st.floats(), st.floats()))
+def test_cli_design_path(work, config, samples, custom):
+    """``simulate --posture all`` (and a custom posture), then ``fit`` of every curve
+    written, under warnings as errors: each call exits 0, or prints one config or
+    data error line and writes nothing."""
+    case = _fresh(work, "toolkit.ini", config)
+    calls = [["simulate", "--posture", "all", "--out", str(case / "curves")]]
+    if custom is not None:
+        flags = [f"{flag}={angle!r}" for flag, angle
+                 in zip(("--shoulder-deg", "--elbow-deg", "--pronation-deg"), custom)]
+        calls.append(["simulate", "--posture", "custom", *flags,
+                      "--out", str(case / "curves" / "C.csv")])
+    errors = {"config error": 3, "data error": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            _assert_exit_contract(case, ["--config", str(case / "toolkit.ini"), *call,
+                                         "--samples", str(samples)], errors=errors)
+        curves = sorted(map(str, case.glob("curves/*.csv")))
+        if curves:
+            _assert_exit_contract(case, ["--config", str(case / "toolkit.ini"), "fit", *curves,
+                                         "--out", str(case / "design.json")], errors=errors)
 
 
 # A study of one good corpus log and up to four logs with the right header

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -458,3 +460,80 @@ def test_aggregate_requires_meta():
         aggregate_report([make_metrics(40.0)], GEAR)
     with pytest.raises(DomainError):
         aggregate_report([], GEAR)
+
+
+def _corpus_metrics(corpus_dir):
+    metrics = []
+    for path in sorted(corpus_dir.iterdir()):
+        meta = fileio.parse_trial_filename(path.name)
+        if meta is None:
+            continue
+        try:
+            cleaned, fraction = clean_interpolate(fileio.read_trial_log(path, meta))
+        except DataError:
+            continue
+        metrics.append(trial_metrics(cleaned, GEAR, fraction))
+    return metrics
+
+
+def test_trial_records_are_the_list_they_replace(corpus_dir):
+    metrics = _corpus_metrics(corpus_dir)
+    report = aggregate_report(metrics, GEAR)
+    want = [{
+        "participant": m.meta.participant,
+        "posture": m.meta.posture,
+        "load": m.meta.load,
+        "spring": m.meta.spring,
+        "trial": m.meta.trial_index,
+        "rom_ab_deg": m.rom_ab,
+        "rom_ad_deg": m.rom_ad,
+        "rom_total_deg": m.rom_total,
+        "tau_rms_nm": m.tau_rms,
+        "joint_torque_nm": joint_torque_estimate(m.tau_rms, GEAR),
+        "n_samples": m.n_samples,
+        "interpolated_fraction": m.interpolated_fraction,
+    } for m in metrics]
+    records = report["trials"]
+    assert len(records) == len(want) == 180
+    assert (records[0], records[-1], records[-180]) == (want[0], want[-1], want[0])
+    assert list(records) == want
+    with pytest.raises(IndexError):
+        records[180]
+    with pytest.raises(TypeError):
+        records[:2]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps(report)
+    assert fileio.render_report(report) == fileio.render_report({**report, "trials": want})
+
+
+def _study_metrics(participants):
+    rng = random.Random(17)
+    metrics = []
+    for p in range(participants):
+        for posture, load, spring, trial in itertools.product(
+                ("POS1", "POS2", "POS3"), trials.LOADS, ("S1", "S2", "S3"), (1, 2)):
+            ab, ad = rng.uniform(10.0, 40.0), rng.uniform(10.0, 40.0)
+            metrics.append(TrialMetrics(ab, ad, ab + ad, rng.uniform(1e-3, 1e-2), 1000, 0.0,
+                                        TrialMeta(f"P{p}", posture, load, spring, trial)))
+    return metrics
+
+
+def _traced_peak(metrics, path) -> int:
+    """Bytes ``aggregate_report`` and ``write_report`` add at their peak, traced."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fileio.write_report(path, aggregate_report(metrics, GEAR))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_peak_grows_by_at_most_300_bytes_per_trial(tmp_path):
+    """No per-trial record outlives its rendering: the records are built as the report
+    is written.  What a trial still adds at the peak is its repeatability record and
+    its place in the grouping lists, about 230 B on CPython 3.11; a list of the record
+    dicts, built before writing, makes it about 720 B."""
+    small, large = _study_metrics(20), _study_metrics(60)
+    grown = _traced_peak(large, tmp_path / "r.json") - _traced_peak(small, tmp_path / "r.json")
+    assert grown / (len(large) - len(small)) <= 300
