@@ -35,7 +35,9 @@ axis k.  By Rodrigues the turned hand is h cos(t) + (k x h) sin(t) +
 k (k . h)(1 - cos(t)); the last term is parallel to k, so it drops out of
 the moment k . (r x g).  Both point masses sit on the hand axis and fold
 into one lever, so the reaction moment is exactly A cos(t) + B sin(t) with
-A = -lever k . (h x g) and B = -lever k . ((k x h) x g).
+A = -lever k . (h x g) and B = -lever k . ((k x h) x g).  With g = (0, 0, -g),
+|k| = 1 and k . h = 0 (the axis is built from n' and u' x n, both normal to
+the hand) these are A = lever g (k_x h_y - k_y h_x) and B = -lever g h_z.
 
 Angles are radians, masses kg, lengths m, moments N*m.  Returned moments
 are abduction-positive reaction torques: positive values mean the joint
@@ -227,9 +229,10 @@ def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
 
     axis, hand_dir = wrist_geometry(posture, convention)
     lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
-    g_vec = np.array([0.0, 0.0, -g])
-    a = -lever * float(axis @ np.cross(hand_dir, g_vec))
-    b = -lever * float(axis @ np.cross(np.cross(axis, hand_dir), g_vec))
+    (kx, ky, _), (hx, hy, hz) = axis.tolist(), hand_dir.tolist()
+    # A and B in plain floats, as the module doc reduces them: no BLAS call, no np.cross
+    a = lever * g * (kx * hy - ky * hx)
+    b = -lever * g * hz
     moment = a * np.cos(theta) + b * np.sin(theta)
     return float(moment) if moment.ndim == 0 else moment
 

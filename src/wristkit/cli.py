@@ -130,13 +130,17 @@ def cmd_fit(cfg, args) -> int:
     curves = {path: fileio.read_torque_curve(path, Path(path).stem) for path in args.curves}
     worst = springs.worst_case_select(curves.values())
     catalog = fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog
+    path = next(p for p, c in curves.items() if c is worst)
     try:  # no spring from the worst-case curve, or a warning made an error: that file's error
-        fit = springs.fit_linear(worst)
-        spring = springs.derive_spring(fit, cfg.pre_wind)
-        stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
-        selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
+        with warnings.catch_warnings(record=True) as caught:  # warned again below, naming the file
+            fit = springs.fit_linear(worst)
+            spring = springs.derive_spring(fit, cfg.pre_wind)
+            stiffness_nmm_per_deg = springs.stiffness_to_nmm_per_deg(spring.stiffness)
+            selection = springs.catalog_match(stiffness_nmm_per_deg, catalog)
     except (DomainError, Warning) as exc:
-        raise DataError(f"{next(p for p, c in curves.items() if c is worst)}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
+    for warning in caught:
+        warnings.warn(f"{path}: {warning.message}", warning.category)
 
     def entry(e):
         return None if e is None else {"name": e.name, "stiffness_nmm_per_deg": e.stiffness}

@@ -203,9 +203,9 @@ def _build(parser, base_dir) -> ToolkitConfig:
     lo, hi = motion.angle_range()
     if lo < limit_lo - _ANGLE_TOL or hi > limit_hi + _ANGLE_TOL:
         raise ConfigError(
-            f"[motion] cycle spans [{math.degrees(lo):.2f}, {math.degrees(hi):.2f}] deg, "
-            f"outside the joint limits [{math.degrees(limit_lo):.2f}, "
-            f"{math.degrees(limit_hi):.2f}] deg")
+            f"[motion] cycle spans [{math.degrees(lo):.6g}, {math.degrees(hi):.6g}] deg, "
+            f"outside the joint limits [{math.degrees(limit_lo):.6g}, "
+            f"{math.degrees(limit_hi):.6g}] deg")
 
     load = LoadSpec(handheld_mass=_number(parser, "load", "handheld_mass_kg", ">= 0"),
                     grip_offset=_number(parser, "load", "grip_offset_m", ">= 0"))

@@ -141,6 +141,26 @@ def test_moment_matches_pure_python_oracle():
         assert list(got) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def test_closed_form_coefficients_match_the_cross_product_form():
+    # A = -lever k . (h x g) and B = -lever k . ((k x h) x g), as the module doc
+    # states them, against the plain-float forms the moment is computed with
+    rng = random.Random(18)
+    hand = SEGMENTS["hand"]
+    for _ in range(1000):
+        posture = ArmPosture(*(rng.uniform(-math.pi, math.pi) for _ in range(3)))
+        convention = KinematicConvention(*(rng.uniform(-math.pi, math.pi) for _ in range(3)))
+        load = LoadSpec(rng.uniform(0, 2.0), rng.uniform(0, 0.3))
+        g = rng.uniform(0.5, 25.0)
+        lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
+        axis, hand_dir = wrist_geometry(posture, convention)
+        g_vec = np.array([0.0, 0.0, -g])
+        a = -lever * float(axis @ np.cross(hand_dir, g_vec))
+        b = -lever * float(axis @ np.cross(np.cross(axis, hand_dir), g_vec))
+        got = wrist_reaction_moment(SEGMENTS, posture, np.array([0.0, math.pi / 2]), load, g,
+                                    convention)
+        assert np.abs(got - [a, b]).max() <= 1e-13 * lever * g
+
+
 def test_moment_is_sinusoidal_in_wrist_angle():
     # a point-mass gravity moment about a fixed axis is A*sin(theta - phi),
     # so values half a turn apart must cancel exactly

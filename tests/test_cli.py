@@ -146,6 +146,19 @@ def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows
     assert not out.exists()
 
 
+def test_fit_warning_names_the_worst_case_curve(tmp_path):
+    mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
+    mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")
+    worst.write_text("angle_rad,moment_Nm\n0,1\n1,2\n")
+    out = tmp_path / "design.json"
+    done = _python(["-m", "wristkit", "fit", str(mild), str(worst), "--out", str(out)],
+                   "default")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (f"warning: {worst}: derived neutral angle -1 rad is negative: "
+                           "the spring stays loaded across the whole motion range\n")
+    assert json.loads(out.read_text())["spring"]["neutral_angle_rad"] == -1.0
+
+
 def test_simulate_writes_nothing_when_a_curve_cannot_be_fitted(tmp_path, capsys):
     cfg = tmp_path / "heavy.ini"
     cfg.write_text("[segments]\nhand_mass_kg = 1e300\n")

@@ -208,6 +208,18 @@ def test_motion_must_fit_joint_limits(tmp_path):
     assert cfg.motion.amplitude == pytest.approx(math.radians(60))
 
 
+def test_huge_motion_angle_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "toolkit.ini"
+    path.write_text("[motion]\nmean_deg = 1e300\n")
+    out = tmp_path / "curves"
+    assert main(["--config", str(path), "simulate", "--posture", "all", "--out", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1 and len(stderr) < 200
+    assert stderr == ("config error: [motion] cycle spans [1e+300, 1e+300] deg, "
+                      "outside the joint limits [-44, 30] deg\n")
+    assert not out.exists()
+
+
 def test_catalog_path(tmp_path):
     catalog = tmp_path / "springs.csv"
     catalog.write_text("name,stiffness_Nmm_per_deg\nA,9.5\nB,14.0\n")

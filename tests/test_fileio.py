@@ -39,6 +39,24 @@ def test_torque_curve_round_trip(tmp_path_factory, points):
     assert back.posture_label == "P2"
 
 
+def test_long_curve_is_written_in_bounded_chunks(tmp_path, monkeypatch):
+    angles = np.linspace(-1.0, 1.0, 10_000)
+    moments = np.sin(7.0 * angles) / 3.0
+    pieces = []
+    write_text = fileio._write_text
+
+    def spy(path, text):
+        assert not isinstance(text, str)
+        write_text(path, (pieces.append(piece) or piece for piece in text))
+    monkeypatch.setattr(fileio, "_write_text", spy)
+    path = tmp_path / "curve.csv"
+    fileio.write_torque_curve(path, TorqueCurve(angles, moments))
+    assert path.read_text() == "angle_rad,moment_Nm\n" + "".join(
+        f"{a!r},{m!r}\n" for a, m in zip(angles.tolist(), moments.tolist()))
+    assert "".join(pieces) == path.read_text()
+    assert len(pieces) == 20 and max(piece.count("\n") for piece in pieces) <= 512
+
+
 def test_torque_curve_header_and_parse_errors(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("theta,torque\n0,0.1\n")
