@@ -23,24 +23,22 @@ from .springs import (CatalogSelection, LinearFit, SpringCatalogEntry,
 from .stats import chi2_survival
 from .transmission import (CableRoute, Gearing, SpringSpec, capstan_transmit,
                            pretension_torque)
-from .trials import (FriedmanResult, LikertResponse, RepeatabilityRecord,
-                     TrialLog, TrialMeta, TrialMetrics, aggregate_report,
-                     clean_interpolate, friedman_test, joint_torque_estimate,
-                     likert_summary, repeatability, rms_torque, rom_metrics,
-                     trial_metrics)
+from .trials import (FriedmanResult, LikertResponse, TrialLog, TrialMeta,
+                     TrialMetrics, aggregate_report, clean_interpolate,
+                     friedman_test, joint_torque_estimate, likert_summary,
+                     repeatability, rms_torque, rom_metrics, trial_metrics)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArmPosture", "BodySegment", "CableRoute", "CatalogSelection", "ConfigError",
     "DataError", "DomainError", "FriedmanResult", "Gearing", "KinematicConvention",
-    "LikertResponse", "LinearFit", "LoadSpec", "MotionProfile", "RepeatabilityRecord",
-    "SpringCatalogEntry", "SpringSpec", "ToolkitConfig", "TorqueCurve", "TrialLog",
-    "TrialMeta", "TrialMetrics", "TrialRejected", "aggregate_report",
-    "capstan_transmit", "catalog_match", "chi2_survival", "clean_interpolate",
-    "derive_spring", "fit_linear", "friedman_test", "hand_mass_from_body",
-    "joint_torque_estimate", "likert_summary", "load_config", "pretension_torque",
-    "repeatability", "rms_torque", "rom_metrics", "stiffness_to_nmm_per_deg",
-    "sweep_torque_curve", "trial_metrics", "worst_case_select",
-    "wrist_reaction_moment",
+    "LikertResponse", "LinearFit", "LoadSpec", "MotionProfile", "SpringCatalogEntry",
+    "SpringSpec", "ToolkitConfig", "TorqueCurve", "TrialLog", "TrialMeta",
+    "TrialMetrics", "TrialRejected", "aggregate_report", "capstan_transmit",
+    "catalog_match", "chi2_survival", "clean_interpolate", "derive_spring",
+    "fit_linear", "friedman_test", "hand_mass_from_body", "joint_torque_estimate",
+    "likert_summary", "load_config", "pretension_torque", "repeatability",
+    "rms_torque", "rom_metrics", "stiffness_to_nmm_per_deg", "sweep_torque_curve",
+    "trial_metrics", "worst_case_select", "wrist_reaction_moment",
 ]

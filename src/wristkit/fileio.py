@@ -164,8 +164,11 @@ def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
 
 
 def write_torque_curve(path, curve: TorqueCurve) -> None:
-    _write_csv(path, _CURVE_HEADER, zip(map(repr, curve.angles.tolist()),
-                                        map(repr, curve.moments.tolist())))
+    """Each ``_CSV_CHUNK``-row slice of the columns becomes Python floats as it is written."""
+    chunks = (slice(i, i + _CSV_CHUNK) for i in range(0, len(curve.angles), _CSV_CHUNK))
+    _write_csv(path, _CURVE_HEADER, chain.from_iterable(
+        zip(map(repr, curve.angles[s].tolist()), map(repr, curve.moments[s].tolist()))
+        for s in chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -122,19 +122,6 @@ class TrialMetrics:
 
 
 @dataclass(frozen=True)
-class RepeatabilityRecord:
-    """Absolute total-ROM difference between two repeats of a condition."""
-
-    spring: str
-    posture: str
-    delta_rom: float  # deg
-
-    def __post_init__(self):
-        if self.delta_rom < 0:
-            raise DomainError("delta_rom must be >= 0")
-
-
-@dataclass(frozen=True)
 class FriedmanResult:
     chi2: float
     p_value: float
@@ -259,18 +246,15 @@ def trial_metrics(log: TrialLog, gear: Gearing,
                         len(log), interpolated_fraction, log.meta)
 
 
-def repeatability(m1: TrialMetrics, m2: TrialMetrics) -> RepeatabilityRecord:
-    """|rom_total difference| between two repeats of the same condition."""
-    spring = posture = ""
-    if m1.meta is not None and m2.meta is not None:
-        if m1.meta.condition() != m2.meta.condition():
-            raise DomainError(
-                f"trials are from different conditions: "
-                f"{m1.meta.condition()} vs {m2.meta.condition()}")
-        spring, posture = m1.meta.spring, m1.meta.posture
-    elif m1.meta is not None or m2.meta is not None:
+def repeatability(m1: TrialMetrics, m2: TrialMetrics) -> float:
+    """|rom_total difference| (deg) between two repeats of the same condition."""
+    if (m1.meta is None) != (m2.meta is None):
         raise DomainError("both metrics need metadata to pair, or neither")
-    return RepeatabilityRecord(spring, posture, abs(m1.rom_total - m2.rom_total))
+    if m1.meta is not None and m1.meta.condition() != m2.meta.condition():
+        raise DomainError(
+            f"trials are from different conditions: "
+            f"{m1.meta.condition()} vs {m2.meta.condition()}")
+    return abs(m1.rom_total - m2.rom_total)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +357,22 @@ def _mean_sd(values) -> dict:
     return {"mean": float(arr.mean()), "sd": sd, "n": int(arr.size)}
 
 
-def _friedman_matrix(metrics, value_of):
-    """Participant x spring matrix of per-cell means over 2**k, or None if incomplete."""
-    participants = sorted({m.meta.participant for m in metrics})
-    springs = sorted({m.meta.spring for m in metrics})
-    cells = {}
-    for m in metrics:
-        cells.setdefault((m.meta.participant, m.meta.spring), []).append(value_of(m))
+_OUTCOMES = (("rom_total_deg", operator.attrgetter("rom_total")),
+             ("tau_rms_nm", operator.attrgetter("tau_rms")))
+
+
+def _friedman_matrix(cells, participants, springs, value_of):
+    """``(participant x spring matrix of per-cell means over 2**k, None)``, or ``(None,
+    reason)`` naming the first missing cell; ``cells`` maps (participant, spring) to trials."""
+    for p in participants:
+        for s in springs:
+            if (p, s) not in cells:
+                return None, f"participant {p!r} has no {s!r} trials"
     # one power of two for every cell scales exactly, keeps the ranks and
     # bounds each cell sum, which near the float limit would overflow
-    _, exp = math.frexp(max(abs(v) for values in cells.values() for v in values))
-    matrix = []
-    for p in participants:
-        row = []
-        for s in springs:
-            values = cells.get((p, s))
-            if not values:
-                return None, f"participant {p!r} has no {s!r} trials"
-            row.append(float(np.sort(np.ldexp(values, -exp)).mean()))
-        matrix.append(row)
-    return matrix, None
+    _, exp = math.frexp(max(abs(value_of(m)) for group in cells.values() for m in group))
+    return [[float(np.sort(np.ldexp(list(map(value_of, cells[p, s])), -exp)).mean())
+             for s in springs] for p in participants], None
 
 
 class TrialRecords:
@@ -441,45 +421,39 @@ def aggregate_report(metrics, gear: Gearing, rejected=(), likert_responses=()) -
     metrics = list(metrics)
     if not metrics:
         raise DomainError("no usable trials to aggregate")
+    by_condition, by_spring = {}, {}
     for m in metrics:
         if m.meta is None:
             raise DomainError("aggregate_report needs metadata on every trial")
+        by_condition.setdefault(m.meta.condition(), []).append(m)
+        by_spring.setdefault(m.meta.spring, []).append(m)
+    springs = sorted(by_spring)
 
     report = {"n_trials": len(metrics), "trials": TrialRecords(metrics, gear)}
+    for key, value_of in _OUTCOMES:
+        report[key] = {s: _five_number(map(value_of, by_spring[s])) for s in springs}
 
-    springs = sorted({m.meta.spring for m in metrics})
-    report["rom_total_deg"] = {
-        s: _five_number([m.rom_total for m in metrics if m.meta.spring == s])
-        for s in springs}
-    report["tau_rms_nm"] = {
-        s: _five_number([m.tau_rms for m in metrics if m.meta.spring == s])
-        for s in springs}
-
-    # repeatability: pair consecutive trial indices within each condition
-    by_condition = {}
-    for m in metrics:
-        by_condition.setdefault(m.meta.condition(), []).append(m)
-    records = []
-    for condition in sorted(by_condition):
-        group = sorted(by_condition[condition], key=lambda m: m.meta.trial_index)
-        for first, second in zip(group, group[1:]):
-            records.append(repeatability(first, second))
+    # a condition joins its Friedman cell; its consecutive trial indices are repeat pairs
+    cells, deltas = {}, {}
+    for (participant, posture, _, spring), group in by_condition.items():
+        cells.setdefault((participant, spring), []).extend(group)
+        group.sort(key=lambda m: m.meta.trial_index)
+        if len(group) > 1:
+            by_posture, overall = deltas.setdefault(spring, ({}, []))
+            pairs = list(map(repeatability, group, group[1:]))
+            by_posture.setdefault(posture, []).extend(pairs)
+            overall.extend(pairs)
     repeat = {}
-    for s in springs:
-        of_spring = [r for r in records if r.spring == s]
-        if not of_spring:
-            continue
-        cells = {
-            posture: _mean_sd([r.delta_rom for r in of_spring if r.posture == posture])
-            for posture in sorted({r.posture for r in of_spring})}
-        cells["overall"] = _mean_sd([r.delta_rom for r in of_spring])
-        repeat[s] = cells
+    for s in sorted(deltas):
+        by_posture, overall = deltas[s]
+        repeat[s] = {posture: _mean_sd(by_posture[posture]) for posture in sorted(by_posture)}
+        repeat[s]["overall"] = _mean_sd(overall)
     report["repeatability"] = repeat
 
+    participants = sorted({participant for participant, _ in cells})
     friedman = {}
-    for key, value_of in (("rom_total_deg", lambda m: m.rom_total),
-                          ("tau_rms_nm", lambda m: m.tau_rms)):
-        matrix, reason = _friedman_matrix(metrics, value_of)
+    for key, value_of in _OUTCOMES:
+        matrix, reason = _friedman_matrix(cells, participants, springs, value_of)
         if matrix is None or len(matrix) < 2 or len(matrix[0]) < 2:
             reason = reason or "need at least 2 participants and 2 springs"
             warnings.warn(f"friedman test on {key} omitted: {reason}", stacklevel=2)

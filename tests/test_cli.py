@@ -337,7 +337,9 @@ def test_analyze_rejects_a_likert_score_too_large_for_a_float(tmp_path, capsys, 
     shutil.copy(log, work / log.name)
     (work / "likert.csv").write_text(f"participant,item,score\nP1,size,{10**400}\n")
     out = tmp_path / "report.json"
-    assert run(["analyze", str(work), "--out", str(out)]) == 0
+    with pytest.warns(UserWarning, match="friedman test .* omitted") as caught:
+        assert run(["analyze", str(work), "--out", str(out)]) == 0
+    assert len(caught) == 2
     report = json.loads(out.read_text())
     assert report["n_trials"] == 1
     assert "likert" not in report

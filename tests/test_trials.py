@@ -2,13 +2,15 @@ import itertools
 import json
 import math
 import random
+import statistics
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wristkit import fileio, trials
 from wristkit.errors import DataError, DomainError, TrialRejected
@@ -263,17 +265,15 @@ def test_trial_metrics_rejects_a_current_whose_torque_overflows():
 # ---------------------------------------------------------------------------
 
 def test_repeatability_examples():
-    assert repeatability(make_metrics(50.0), make_metrics(47.5)).delta_rom == 2.5
-    assert repeatability(make_metrics(33.0), make_metrics(33.0)).delta_rom == 0.0
-    assert repeatability(make_metrics(40.0), make_metrics(45.0)).delta_rom == 5.0
+    assert repeatability(make_metrics(50.0), make_metrics(47.5)) == 2.5
+    assert repeatability(make_metrics(33.0), make_metrics(33.0)) == 0.0
+    assert repeatability(make_metrics(40.0), make_metrics(45.0)) == 5.0
 
 
 def test_repeatability_symmetry_and_labels():
     m1 = make_metrics(50.0, meta=meta_for(trial=1))
     m2 = make_metrics(47.5, meta=meta_for(trial=2))
-    record = repeatability(m1, m2)
-    assert record.delta_rom == repeatability(m2, m1).delta_rom == 2.5
-    assert (record.spring, record.posture) == ("S1", "POS1")
+    assert repeatability(m1, m2) == repeatability(m2, m1) == 2.5
 
 
 def test_repeatability_condition_mismatch():
@@ -462,6 +462,63 @@ def test_aggregate_requires_meta():
         aggregate_report([], GEAR)
 
 
+_QUARTER_DEG = st.integers(0, 160).map(lambda quarters: quarters / 4)  # ties are common
+
+
+@st.composite
+def _shuffled_study(draw):
+    """(metrics, the same metrics shuffled): 0 to 4 trials per condition, their
+    indices drawn from 1-6 so they have gaps (T1, T3, T4), absent conditions."""
+    metrics = []
+    for participant, posture, load, spring in itertools.product(
+            ("A", "B", "C")[:draw(st.integers(1, 3))], ("POS1", "POS2"), trials.LOADS,
+            ("S1", "S2")):
+        for index in draw(st.lists(st.integers(1, 6), max_size=4, unique=True)):
+            ab, ad = draw(_QUARTER_DEG), draw(_QUARTER_DEG)
+            metrics.append(TrialMetrics(ab, ad, ab + ad, draw(st.integers(1, 9)) / 1000, 100,
+                                        0.0, TrialMeta(participant, posture, load, spring, index)))
+    assume(metrics)
+    return metrics, draw(st.permutations(metrics))
+
+
+def _report_sections(metrics):
+    """The report's bytes without its per-trial records, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = aggregate_report(metrics, GEAR)
+    del report["trials"]
+    return report, fileio.render_report(report), [str(w.message) for w in caught]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(study=_shuffled_study())
+def test_report_sections_and_pairs_do_not_depend_on_ingestion_order(study):
+    metrics, shuffled = study
+    report, text, caught = _report_sections(metrics)
+    assert _report_sections(shuffled)[1:] == (text, caught)
+
+    # each trial pairs with the next higher index of its condition, if any
+    want = {}
+    for m in metrics:
+        later = [o for o in metrics if o.meta.condition() == m.meta.condition()
+                 and o.meta.trial_index > m.meta.trial_index]
+        if later:
+            after = min(later, key=lambda o: o.meta.trial_index)
+            want.setdefault(m.meta.spring, {}).setdefault(m.meta.posture, []).append(
+                abs(m.rom_total - after.rom_total))
+    assert list(report["repeatability"]) == sorted(want)
+    for spring, by_posture in want.items():
+        by_posture["overall"] = [d for deltas in by_posture.values() for d in deltas]
+        assert list(report["repeatability"][spring]) == [*sorted(by_posture.keys() - {"overall"}),
+                                                         "overall"]
+        for posture, deltas in by_posture.items():
+            cell = report["repeatability"][spring][posture]
+            sd = statistics.stdev(deltas) if len(deltas) > 1 else 0.0
+            assert cell["n"] == len(deltas)
+            assert cell["mean"] == pytest.approx(statistics.fmean(deltas), rel=1e-12, abs=1e-12)
+            assert cell["sd"] == pytest.approx(sd, rel=1e-9, abs=1e-9)
+
+
 def _corpus_metrics(corpus_dir):
     metrics = []
     for path in sorted(corpus_dir.iterdir()):
@@ -531,8 +588,8 @@ def _traced_peak(metrics, path) -> int:
 
 def test_report_peak_grows_by_at_most_300_bytes_per_trial(tmp_path):
     """No per-trial record outlives its rendering: the records are built as the report
-    is written.  What a trial still adds at the peak is its repeatability record and
-    its place in the grouping lists, about 230 B on CPython 3.11; a list of the record
+    is written.  What a trial still adds at the peak is its repeatability difference and
+    its place in the grouping lists, about 200 B on CPython 3.11; a list of the record
     dicts, built before writing, makes it about 720 B."""
     small, large = _study_metrics(20), _study_metrics(60)
     grown = _traced_peak(large, tmp_path / "r.json") - _traced_peak(small, tmp_path / "r.json")
