@@ -10,8 +10,8 @@ repeatability, a Friedman test across spring conditions, and Likert
 questionnaire summaries.
 
 Aggregate statistics (means, standard deviations, percentiles) are
-always evaluated on value-sorted arrays so that reports are bit-stable
-regardless of the order trials were ingested.
+always evaluated on values put in order by ``sorted()`` so that reports
+are bit-stable regardless of the order trials were ingested.
 """
 
 import math
@@ -283,17 +283,15 @@ def friedman_test(data) -> FriedmanResult:
             raise DomainError("all rows must have the same number of conditions")
         if not all(math.isfinite(v) for v in row):
             raise DomainError("matrix cells must be finite (no missing cells)")
-    matrix = np.array(rows)
 
-    # A cell's average 1-based rank is the count of smaller cells in its
-    # row plus (t + 1) / 2 for its tie group of size t (itself included);
-    # summing t**2 - 1 over the t cells of a group gives its t**3 - t.
-    below = (matrix[:, :, None] > matrix[:, None, :]).sum(2)
-    ties = (matrix[:, :, None] == matrix[:, None, :]).sum(2)
-    col_sums = (below + (ties + 1) / 2).sum(0)
-    tie_sum = float((ties ** 2 - 1).sum())
-
-    sum_sq = float((col_sums * col_sums).sum())
+    # A cell's average 1-based rank is the count of smaller cells in its row (its
+    # first index in the sorted row) plus (t + 1) / 2 for its tie group of size t, a
+    # half-integer, so every sum is exact; a group's t cells sum t**2 - 1 to t**3 - t.
+    ranks = [[ordered.index(v) + (row.count(v) + 1) / 2 for v in row]
+             for row, ordered in zip(rows, map(sorted, rows))]
+    col_sums = [sum(column) for column in zip(*ranks)]
+    tie_sum = sum(row.count(v) ** 2 - 1 for row in rows for v in row)
+    sum_sq = sum(c * c for c in col_sums)
     chi2 = 12.0 * sum_sq / (n * m * (m + 1)) - 3.0 * n * (m + 1)
     correction = 1.0 - tie_sum / (n * (m ** 3 - m))
     df = m - 1
@@ -352,7 +350,7 @@ def _five_number(values) -> dict:
 
 
 def _mean_sd(values) -> dict:
-    arr = np.sort(np.asarray(values, dtype=float))
+    arr = np.array(sorted(values), dtype=float)
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return {"mean": float(arr.mean()), "sd": sd, "n": int(arr.size)}
 
@@ -371,8 +369,9 @@ def _friedman_matrix(cells, participants, springs, value_of):
     # one power of two for every cell scales exactly, keeps the ranks and
     # bounds each cell sum, which near the float limit would overflow
     _, exp = math.frexp(max(abs(value_of(m)) for group in cells.values() for m in group))
-    return [[float(np.sort(np.ldexp(list(map(value_of, cells[p, s])), -exp)).mean())
-             for s in springs] for p in participants], None
+    def cell_mean(group):  # scaling keeps the order: sort, then scale
+        return float(np.array([math.ldexp(v, -exp) for v in sorted(map(value_of, group))]).mean())
+    return [[cell_mean(cells[p, s]) for s in springs] for p in participants], None
 
 
 class TrialRecords:

@@ -4,10 +4,15 @@ Everything here is deliberately written with a different method (and,
 where possible, without numpy) from the production code: triple products
 by cofactor expansion, the exponential by its Taylor series, least
 squares by Cramer's rule on the normal equations, ROM by an explicit
-scan loop.  Slow and simple on purpose.
+scan loop, Friedman ranks by broadcasting every cell against its row.
+Slow and simple on purpose.
 """
 
 import math
+
+import numpy as np
+
+from wristkit.stats import chi2_survival
 
 
 def triple_product(a, b, c):
@@ -92,3 +97,23 @@ def rom_scan(angles):
 def chi2_survival_df2(x):
     """Survival function of chi-squared with 2 degrees of freedom."""
     return math.exp(-x / 2.0)
+
+
+def friedman_broadcast(data):
+    """Friedman (chi2, p, df) from an n x m x m broadcast comparison of each
+    row with itself: a cell's average rank is the count of smaller cells in
+    its row plus (t + 1) / 2 for its tie group of size t, whose t cells sum
+    t**2 - 1 to the group's t**3 - t."""
+    matrix = np.array(data, dtype=float)
+    n, m = matrix.shape
+    below = (matrix[:, :, None] > matrix[:, None, :]).sum(2)
+    ties = (matrix[:, :, None] == matrix[:, None, :]).sum(2)
+    col_sums = (below + (ties + 1) / 2).sum(0)
+    tie_sum = float((ties ** 2 - 1).sum())
+    sum_sq = float((col_sums * col_sums).sum())
+    chi2 = 12.0 * sum_sq / (n * m * (m + 1)) - 3.0 * n * (m + 1)
+    correction = 1.0 - tie_sum / (n * (m ** 3 - m))
+    if correction == 0.0:
+        return 0.0, 1.0, m - 1
+    chi2 /= correction
+    return chi2, chi2_survival(chi2, m - 1), m - 1

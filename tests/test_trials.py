@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wristkit import fileio, trials
 from wristkit.errors import DataError, DomainError, TrialRejected
@@ -320,6 +320,25 @@ def test_friedman_matches_scipy_with_and_without_ties():
         assert result.p_value == pytest.approx(expected.pvalue, rel=1e-9, abs=1e-12)
 
 
+@st.composite
+def _small_integer_matrix(draw):
+    """n x m integer-valued matrices, n 2-60 and m 2-6: ties are common, and
+    about half the rows are fully tied."""
+    m = draw(st.integers(2, 6))
+    row = st.one_of(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                    st.integers(-3, 3).map(lambda v: [v] * m))
+    return draw(st.lists(row, min_size=2, max_size=60))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=_small_integer_matrix())
+@example(data=[[2.0, 2.0, 2.0], [-1.0, -1.0, -1.0]])
+@example(data=[[1.0, 2.0], [2.0, 2.0]])
+def test_friedman_equals_the_broadcast_rank_oracle(data):
+    result = friedman_test(data)
+    assert (result.chi2, result.p_value, result.df) == oracles.friedman_broadcast(data)
+
+
 def test_friedman_rank_invariance_under_monotone_maps():
     data = [[0.5, 2.0, 1.0], [3.0, 1.0, 2.0], [0.2, 0.4, 0.3], [1.0, 3.0, 2.0]]
     base = friedman_test(data)
@@ -561,6 +580,21 @@ def test_trial_records_are_the_list_they_replace(corpus_dir):
     with pytest.raises(TypeError, match="not JSON serializable"):
         json.dumps(report)
     assert fileio.render_report(report) == fileio.render_report({**report, "trials": want})
+
+
+def test_aggregation_calls_no_numpy_sort(corpus_dir, monkeypatch):
+    """The study statistics sort study-sized lists with ``sorted()``: each numpy
+    sort kernel would add its code pages to ``analyze``'s resident memory."""
+    metrics = _corpus_metrics(corpus_dir)
+    likert = fileio.read_likert_responses(corpus_dir / "likert.csv")
+    want = fileio.render_report(aggregate_report(metrics, GEAR, likert_responses=likert))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study aggregation called a numpy sort")
+
+    for name in ("sort", "argsort", "partition", "median", "percentile", "quantile"):
+        monkeypatch.setattr(np, name, refuse)
+    assert fileio.render_report(aggregate_report(metrics, GEAR, likert_responses=likert)) == want
 
 
 def _study_metrics(participants):
