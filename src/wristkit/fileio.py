@@ -9,7 +9,7 @@ Formats (all plain text, diff-friendly):
 * Likert responses CSV: header ``participant,item,score``;
 * study/fit reports: JSON with sorted keys and floats rendered at six significant
   digits, written piece by piece, so identical inputs give byte-identical files;
-* plot CSVs (box plots, repeatability) with the same float rendering.
+* plot CSVs (box plots, repeatability): the same float rendering, labels quoted as csv does.
 
 Parse failures raise :class:`DataError` naming the file and line.
 """
@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+from contextlib import suppress
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -122,6 +123,26 @@ def _plain_table(text, header, dtype):
         return None
 
 
+def _read_columns(path, header, dtype, parse, build, blank_nan=False):
+    """``build(*columns)`` of the CSV file at ``path``, read from disk once.  A plain file
+    (see ``_plain_table``; with ``blank_nan``, blank cells spelled ``nan`` first) is parsed in
+    whole columns, each float one copied, not a strided view, so it sums as the row reader's
+    does.  One it declines, or whose columns ``build`` refuses with a :class:`DomainError`,
+    goes through ``_records`` from the same text, which names the bad row or the file."""
+    text = _read_text(Path(path))
+    table = _plain_table(text.replace(",,", ",nan,").replace(",,", ",nan,") if blank_nan
+                         else text, header, dtype)  # no header holds ",,"
+    if table is not None:
+        with suppress(DomainError):  # a list: star-unpacking a generator left more heap
+            return build(*[table[name].copy() if kind is float else table[name].tolist()
+                           for name, kind in dtype])
+    rows = _records(path, text, header, parse)
+    try:
+        return build(*(zip(*rows) if rows else [()] * len(header)))
+    except DomainError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _number(name, text, blank=None) -> float:
     """``text`` as a float; an empty cell is ``blank`` when one is given."""
     if blank is not None and not text:
@@ -149,18 +170,8 @@ def _curve_point(cells) -> tuple:
 
 
 def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
-    """A plain curve is read in whole columns, any other by the row reader."""
-    text = _read_text(Path(path))
-    table = _plain_table(text, _CURVE_HEADER, [("angle", float), ("moment", float)])
-    if table is None:
-        points = _records(path, text, _CURVE_HEADER, _curve_point)
-        angles, moments = zip(*points) if points else ((), ())
-    else:  # copies, not strided views into the 16-byte records: fit_linear sums them
-        angles, moments = table["angle"].copy(), table["moment"].copy()
-    try:
-        return TorqueCurve(np.asarray(angles), np.asarray(moments), posture_label)
-    except DomainError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _read_columns(path, _CURVE_HEADER, [("angle", float), ("moment", float)],
+                         _curve_point, lambda *columns: TorqueCurve(*columns, posture_label))
 
 
 def write_torque_curve(path, curve: TorqueCurve) -> None:
@@ -205,7 +216,7 @@ def parse_trial_filename(name: str) -> TrialMeta | None:
         return None
     try:
         return TrialMeta(sys.intern("P" + match["participant"]),
-                         sys.intern("POS" + match["posture"]),
+                         sys.intern("POS" + str(int(match["posture"]))),
                          sys.intern(match["load"]), sys.intern(match["spring"]),
                          int(match["trial"]))
     except DomainError:
@@ -221,37 +232,15 @@ def _trial_sample(cells) -> tuple:
     return sample
 
 
-def _trial_columns(text):
-    """The four columns of a plain trial log (see ``_plain_table``), or None, also for
-    an unknown button.  A blank angle or current cell is spelled ``nan`` first."""
-    text = text.replace(",,", ",nan,").replace(",,", ",nan,")  # the header holds no ",,"
-    table = _plain_table(text, _TRIAL_HEADER, [
-        ("t", float), ("angle", float), ("current", float), ("button", "U3")])
-    if table is None:
-        return None
-    button = table["button"].tolist()  # U3: every longer label stays unknown
-    if not set(BUTTONS).issuperset(button):
-        return None
-    # copies, not views into the 36-byte records, so a sum runs as on the row reader's array
-    return table["t"].copy(), table["angle"].copy(), table["current"].copy(), button
-
-
 def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
-    """Read a trial log; empty angle/current cells become NaN (missing).  A
-    plainly written log is parsed in whole columns; any other goes through the
-    row reader, which names the first bad row."""
-    text = _read_text(Path(path))
-    columns = _trial_columns(text)
-    if columns is None:
-        samples = _records(path, text, _TRIAL_HEADER, _trial_sample)
-        if not samples:
-            raise DataError(f"{path}: trial log has no samples")
-        columns = zip(*samples)
-    time, angle, current, button = columns
-    try:
-        return TrialLog(np.asarray(time), np.asarray(angle), np.asarray(current), button, meta)
-    except DomainError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    """Read a trial log; empty angle/current cells become NaN (missing)."""
+    def log(time, angle, current, button):
+        if not button:
+            raise DomainError("trial log has no samples")
+        return TrialLog(time, angle, current, button, meta)
+    return _read_columns(path, _TRIAL_HEADER, [  # U3: every longer label stays unknown
+        ("t", float), ("angle", float), ("current", float), ("button", "U3")],
+        _trial_sample, log, blank_nan=True)
 
 
 def write_trial_log(path, log: TrialLog) -> None:
@@ -359,6 +348,8 @@ def _check_rows(path, where, node, depth, keys) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str) and any(char in value for char in ',"\r\n'):  # quoted as csv does
+        return '"' + value.replace('"', '""') + '"'
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
@@ -375,12 +366,12 @@ def write_plot_csvs(report: dict, out_dir) -> list:
         groups = report.get(section, {})
         written.append(out_dir / fname)
         _write_csv(written[-1], ["spring", *_BOX_KEYS],
-                   ([spring] + [_fmt(groups[spring][k]) for k in _BOX_KEYS]
+                   ([_fmt(spring)] + [_fmt(groups[spring][k]) for k in _BOX_KEYS]
                     for spring in sorted(groups)))
     repeat = report.get("repeatability", {})
     written.append(out_dir / "repeatability.csv")
     _write_csv(written[-1], ["spring", "posture", "mean_delta_deg", "sd_delta_deg", "n"],
-               ([spring, posture, _fmt(cell["mean"]), _fmt(cell["sd"]), _fmt(cell["n"])]
+               (list(map(_fmt, (spring, posture, cell["mean"], cell["sd"], cell["n"])))
                 for spring in sorted(repeat)
                 for posture, cell in sorted(repeat[spring].items())))
     return written

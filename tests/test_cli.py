@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -296,6 +297,76 @@ def test_analyze_rejects_second_file_of_a_trial(tmp_path, capsys, corpus_dir):
         "file": "P1_POS1_unloaded_S1_T1.csv",
         "reason": "same condition and trial index as P1_POS1_unloaded_S1_T01.csv"}]
     assert "2 trials analyzed, 1 rejected" in capsys.readouterr().out
+
+
+def test_analyze_rejects_a_posture_written_with_another_number_spelling(tmp_path, capsys,
+                                                                       corpus_dir):
+    # POS01 and POS\u0661 both name posture 1, as T01 and T1 name trial 1
+    work = tmp_path / "trials"
+    work.mkdir()
+    for src in corpus_dir.glob("P1_POS1_unloaded_S1_T*.csv"):
+        shutil.copy(src, work / src.name.replace("POS1", "POS01"))
+    shutil.copy(work / "P1_POS01_unloaded_S1_T1.csv", work / "P1_POS\u0661_unloaded_S1_T1.csv")
+    shutil.copy(corpus_dir / "P1_POS1_unloaded_S1_T1.csv", work)
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="friedman test .* omitted"):
+        assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_trials"] == 2
+    assert {t["posture"] for t in report["trials"]} == {"POS1"}
+    assert report["rejected"] == [
+        {"file": name, "reason": "same condition and trial index as P1_POS01_unloaded_S1_T1.csv"}
+        for name in sorted(["P1_POS1_unloaded_S1_T1.csv", "P1_POS\u0661_unloaded_S1_T1.csv"])]
+    capsys.readouterr()
+
+
+def _plot_rows(plots):
+    """The rows of each plot CSV, read back by the csv module."""
+    rows = {}
+    for name in ("rom_boxplot.csv", "torque_boxplot.csv", "repeatability.csv"):
+        with open(plots / name, newline="", encoding="utf-8") as handle:
+            rows[name] = list(csv.reader(handle))
+    return rows
+
+
+def test_analyze_quotes_plot_labels_that_hold_a_comma_or_quote(tmp_path, capsys, corpus_dir):
+    work = tmp_path / "trials"
+    work.mkdir()
+    for spring, label in (("S1", "S1,x"), ("S2", 'S2"y')):
+        for src in corpus_dir.glob(f"P1_POS1_unloaded_{spring}_T*.csv"):
+            shutil.copy(src, work / src.name.replace(f"_{spring}_", f"_{label}_"))
+    plots = tmp_path / "plots"
+    with pytest.warns(UserWarning, match="friedman test .* omitted"):
+        assert run(["analyze", str(work), "--out", str(tmp_path / "r.json"),
+                    "--plots-dir", str(plots)]) == 0
+    rows = _plot_rows(plots)
+    for name in ("rom_boxplot.csv", "torque_boxplot.csv"):
+        assert [len(row) for row in rows[name]] == [7, 7, 7]
+        assert [row[0] for row in rows[name][1:]] == ["S1,x", 'S2"y']
+    assert [row[:2] for row in rows["repeatability.csv"][1:]] == [
+        ["S1,x", "POS1"], ["S1,x", "overall"], ['S2"y', "POS1"], ['S2"y', "overall"]]
+    assert {len(row) for row in rows["repeatability.csv"]} == {5}
+    capsys.readouterr()
+
+
+def test_report_quotes_plot_labels_as_the_csv_module_does(tmp_path, capsys):
+    labels = ["S1,x", 'S"2', "S3\nz", "S4\r", 'a,"b"\r\nc', "plain"]
+    box = {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0, "n": 6}
+    report = {"rom_total_deg": {label: box for label in labels},
+              "tau_rms_nm": {label: box for label in labels},
+              "repeatability": {label: {label: {"mean": 1.5, "sd": 0.5, "n": 2}}
+                                for label in labels}}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    plots = tmp_path / "plots"
+    assert run(["report", str(path), "--plots-dir", str(plots)]) == 0
+    rows = _plot_rows(plots)
+    for name in ("rom_boxplot.csv", "torque_boxplot.csv"):
+        assert rows[name][1:] == [[label, "1", "2", "3", "4", "5", "6"]
+                                  for label in sorted(labels)]
+    assert rows["repeatability.csv"][1:] == [[label, label, "1.5", "0.5", "2"]
+                                             for label in sorted(labels)]
+    capsys.readouterr()
 
 
 def test_analyze_rejects_an_undecodable_trial_log(tmp_path, capsys, corpus_dir):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wristkit.biomech import TorqueCurve
 from wristkit.errors import DataError
@@ -130,6 +130,10 @@ def test_parse_trial_filename():
 
     meta = fileio.parse_trial_filename("P12_POS2_unloaded_S3_T1.csv")
     assert meta is not None and meta.participant == "P12" and meta.spring == "S3"
+    # a posture is its number, as a trial index is, so POS01 and POS\u0661 are POS1
+    assert {fileio.parse_trial_filename(name).posture
+            for name in ("P1_POS1_unloaded_S1_T1.csv", "P1_POS01_unloaded_S1_T1.csv",
+                         "P1_POS\u0661_unloaded_S1_T1.csv")} == {"POS1"}
     # a study's trials share their label strings and hold no per-record dict
     again = fileio.parse_trial_filename("P12_POS2_unloaded_S3_T2.csv")
     assert all(getattr(again, label) is getattr(meta, label)
@@ -357,8 +361,15 @@ def test_curve_column_and_row_readers_agree(tmp_path_factory, text):
     (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,x,2,\n",
      "3: angle_deg is not a number: 'x'"),
     (fileio.read_torque_curve, "angle_rad,moment_Nm\n0,1\n0.1,1,2\n",
-     "3: expected 2 fields, got 3")],
-    ids=["trial log", "curve"])
+     "3: expected 2 fields, got 3"),
+    # plainly written, so parsed in columns, which the log or curve then refuses
+    (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,1,2,B7\n",
+     "3: unknown button 'B7'"),
+    (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0,1,2,\n",
+     " timestamps must be strictly increasing"),
+    (fileio.read_torque_curve, "angle_rad,moment_Nm\n0,nan\n0.1,1\n",
+     " curve samples must be finite")],
+    ids=["trial log", "curve", "unknown button", "repeated time", "nan moment"])
 def test_a_malformed_file_is_read_from_disk_once(tmp_path, reader, text, message):
     path = tmp_path / "t.csv"
     path.write_text(text)
@@ -375,14 +386,23 @@ _WRITTEN_NUMBER = st.tuples(st.floats(allow_infinity=False),
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rows=st.lists(st.lists(_WRITTEN_NUMBER, min_size=3, max_size=3), min_size=1, max_size=20))
-def test_column_path_reads_each_number_as_float_does(rows):
-    cells = [[fmt(value) for value, fmt in row] for row in rows]
-    text = "\n".join(["t_s,angle_deg,current_mA,button", *(",".join(row) + "," for row in cells)])
-    columns = fileio._trial_columns(text)
-    assert columns is not None
-    for k in range(3):  # compared as bytes, so NaN bits count too
-        assert columns[k].tobytes() == np.array([float(row[k]) for row in cells]).tobytes()
-        assert columns[k].flags.c_contiguous  # a strided view may sum to other bits
+def test_column_path_reads_each_number_as_float_does(tmp_path_factory, rows):
+    by_time = {}  # rows in order of distinct finite times, as a trial log needs them
+    for row in rows:
+        cells = [fmt(value) for value, fmt in row]
+        if math.isfinite(float(cells[0])):
+            by_time.setdefault(float(cells[0]), cells)
+    assume(by_time)
+    cells = [by_time[t] for t in sorted(by_time)]
+    path = tmp_path_factory.getbasetemp() / "t.csv"
+    path.write_text("\n".join(["t_s,angle_deg,current_mA,button",
+                               *(",".join(row) + "," for row in cells)]))
+    with mock.patch.object(fileio, "_records", side_effect=AssertionError("row reader")):
+        log = fileio.read_trial_log(path)  # so the columns are loadtxt's
+    for k, column in enumerate((log.time, log.angle_deg, log.current_ma)):
+        # compared as bytes, so NaN bits count too
+        assert column.tobytes() == np.array([float(row[k]) for row in cells]).tobytes()
+        assert column.flags.c_contiguous  # a strided view may sum to other bits
 
 
 @pytest.mark.parametrize("reader, header, message, body", [
@@ -411,7 +431,8 @@ def test_late_bad_row_keeps_its_line_number(tmp_path, row, message):
     rows = [f"{k / 100},1.5,350,B2" for k in range(100)]
     path = tmp_path / "t.csv"
     path.write_text("\n".join(["t_s,angle_deg,current_mA,button", *rows]) + "\n")
-    assert fileio._trial_columns(path.read_text()) is not None  # plain: read column-wise
+    with mock.patch.object(fileio, "_records", side_effect=AssertionError("row reader")):
+        fileio.read_trial_log(path)  # plain: read column-wise
     rows[95] = row  # in the last tenth of the rows, on line 97
     path.write_text("\n".join(["t_s,angle_deg,current_mA,button", *rows]) + "\n")
     assert _assert_readers_agree(path) == f"{path}:97: {message}"
