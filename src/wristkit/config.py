@@ -111,8 +111,8 @@ def _read_ini(path) -> configparser.ConfigParser:
             raise ConfigError(f"config file not found: {path}")
         user = configparser.ConfigParser(interpolation=None)
         try:
-            with path.open(encoding="utf-8") as handle:
-                user.read_file(handle)
+            with path.open(encoding="utf-8") as handle:  # less a byte-order mark, as CSVs are
+                user.read_string(handle.read().removeprefix("\ufeff"), str(path))
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             # configparser spreads a parse error over several lines; print it on one
             raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc

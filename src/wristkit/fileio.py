@@ -49,10 +49,11 @@ _CSV_CHUNK = 512  # CSV lines per write: as fast as one join, without a whole-fi
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path``; an unreadable or undecodable file is a
-    :class:`DataError` naming the file (and the line of a bad byte)."""
+    """The UTF-8 text of ``path``, a leading byte-order mark dropped; an unreadable or
+    undecodable file is a :class:`DataError` naming the file (and the line of a bad byte)."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:  # "utf-8-sig" reads a cut-off mark as ""
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -61,7 +62,7 @@ def _read_text(path) -> str:
 
 
 def _write_text(path, text) -> None:
-    """Write ``text`` (a str or an iterable of strs) to ``path`` via a temporary file beside
+    """Write ``text`` (an iterable of strs) to ``path`` via a temporary file beside
     it and ``os.replace``: a failure never leaves half a file.  An ``OSError`` names ``path``."""
     path = Path(path)
     if path.is_dir():
@@ -70,7 +71,7 @@ def _write_text(path, text) -> None:
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -84,7 +85,6 @@ def _records(path, text, header, parse) -> list:
     header check; all-blank rows are skipped, cells stripped, field counts checked.  A
     ``ValueError`` from ``parse`` (a :class:`DomainError` is one) or a CSV error
     becomes a :class:`DataError` naming the file and the line the row ends on."""
-    path = Path(path)
     reader = csv.reader(text.splitlines())
     records = []
     try:
@@ -123,15 +123,15 @@ def _plain_table(text, header, dtype):
         return None
 
 
-def _read_columns(path, header, dtype, parse, build, blank_nan=False):
+def _read_columns(path, header, dtype, parse, build):
     """``build(*columns)`` of the CSV file at ``path``, read from disk once.  A plain file
-    (see ``_plain_table``; with ``blank_nan``, blank cells spelled ``nan`` first) is parsed in
-    whole columns, each float one copied, not a strided view, so it sums as the row reader's
-    does.  One it declines, or whose columns ``build`` refuses with a :class:`DomainError`,
-    goes through ``_records`` from the same text, which names the bad row or the file."""
-    text = _read_text(Path(path))
-    table = _plain_table(text.replace(",,", ",nan,").replace(",,", ",nan,") if blank_nan
-                         else text, header, dtype)  # no header holds ",,"
+    (see ``_plain_table``; blank cells spelled ``nan`` first) is parsed in whole columns,
+    each float one copied, not a strided view, so it sums as the row reader's does.  One it
+    declines, or whose columns ``build`` refuses with a :class:`DomainError`, goes through
+    ``_records`` from the same text, which names the bad row or the file."""
+    text = _read_text(path)  # ",," is in no header, and a curve row holding it has 3+ cells
+    table = _plain_table(text.replace(",,", ",nan,").replace(",,", ",nan,") if ",," in text
+                         else text, header, dtype)
     if table is not None:
         with suppress(DomainError):  # a list: star-unpacking a generator left more heap
             return build(*[table[name].copy() if kind is float else table[name].tolist()
@@ -141,6 +141,14 @@ def _read_columns(path, header, dtype, parse, build, blank_nan=False):
         return build(*(zip(*rows) if rows else [()] * len(header)))
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _table(path, header, parse, empty) -> tuple:
+    """``_records`` of the CSV file at ``path``; with none, a :class:`DataError` says ``empty``."""
+    rows = tuple(_records(path, _read_text(path), header, parse))
+    if not rows:
+        raise DataError(f"{path}: {empty}")
+    return rows
 
 
 def _number(name, text, blank=None) -> float:
@@ -194,10 +202,7 @@ def _catalog_entry(cells) -> SpringCatalogEntry:
 
 
 def read_spring_catalog(path) -> tuple:
-    entries = tuple(_records(path, _read_text(Path(path)), _CATALOG_HEADER, _catalog_entry))
-    if not entries:
-        raise DataError(f"{path}: catalog has no entries")
-    return entries
+    return _table(path, _CATALOG_HEADER, _catalog_entry, "catalog has no entries")
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +243,8 @@ def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
         if not button:
             raise DomainError("trial log has no samples")
         return TrialLog(time, angle, current, button, meta)
-    return _read_columns(path, _TRIAL_HEADER, [  # U3: every longer label stays unknown
-        ("t", float), ("angle", float), ("current", float), ("button", "U3")],
-        _trial_sample, log, blank_nan=True)
+    return _read_columns(path, _TRIAL_HEADER, [("t", float), ("angle", float), ("current", float),
+                         ("button", "U3")], _trial_sample, log)  # U3: a longer label is unknown
 
 
 def write_trial_log(path, log: TrialLog) -> None:
@@ -251,20 +255,20 @@ def write_trial_log(path, log: TrialLog) -> None:
                 for t, a, i, b in zip(log.time, log.angle_deg, log.current_ma, log.button)))
 
 
-def _likert_response(cells) -> LikertResponse:
-    participant, item, score = cells
-    try:
-        value = int(score)
-    except ValueError:
-        raise ValueError(f"score is not an integer: {score!r}") from None
-    return LikertResponse(participant, item, value)
-
-
 def read_likert_responses(path) -> tuple:
-    responses = tuple(_records(path, _read_text(Path(path)), _LIKERT_HEADER, _likert_response))
-    if not responses:
-        raise DataError(f"{path}: no responses")
-    return responses
+    answered = set()  # (participant, item): a second answer would count one person twice
+
+    def response(cells):
+        participant, item, score = cells
+        if (participant, item) in answered:
+            raise ValueError(f"{participant} already answered {item!r}")
+        answered.add((participant, item))
+        try:
+            value = int(score)
+        except ValueError:
+            raise ValueError(f"score is not an integer: {score!r}") from None
+        return LikertResponse(participant, item, value)
+    return _table(path, _LIKERT_HEADER, response, "no responses")
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +320,8 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    path = Path(path)
-    text = _read_text(path)
     try:
-        report = json.loads(text)
+        report = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
@@ -354,11 +356,8 @@ def _fmt(value) -> str:
 
 
 def write_plot_csvs(report: dict, out_dir) -> list:
-    """Render box-plot and repeatability CSVs from a study report.
-
-    Writes ``rom_boxplot.csv``, ``torque_boxplot.csv``, and
-    ``repeatability.csv`` into ``out_dir``; returns the paths written.
-    """
+    """Write the ``rom_boxplot.csv``, ``torque_boxplot.csv`` and ``repeatability.csv`` of a
+    study report into ``out_dir``; returns the paths written."""
     out_dir = Path(out_dir)
     written = []
     for fname, section in (("rom_boxplot.csv", "rom_total_deg"),

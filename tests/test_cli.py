@@ -128,6 +128,18 @@ def test_fit_rejects_malformed_curve(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_names_a_curve_as_it_was_written(tmp_path, capsys, monkeypatch):
+    """A bad row and a curve the type refuses name ``./x.csv`` alike."""
+    monkeypatch.chdir(tmp_path)
+    Path("row.csv").write_text("angle_rad,moment_Nm\n0,1\n0.1,x\n")
+    Path("nan.csv").write_text("angle_rad,moment_Nm\n0,nan\n0.1,1\n")
+    assert run(["fit", "./row.csv"]) == 2
+    assert capsys.readouterr() == ("", "data error: ./row.csv:3: moment_Nm is not a number: "
+                                       "'x'\n")
+    assert run(["fit", "./nan.csv"]) == 2
+    assert capsys.readouterr() == ("", "data error: ./nan.csv: curve samples must be finite\n")
+
+
 @pytest.mark.parametrize("rows, message", [
     (["0.1,0.5"], "fit needs at least 2 samples"),
     (["-1e308,0", "0,1", "1e308,2"],
@@ -397,6 +409,21 @@ def test_analyze_rejects_a_bad_likert_file(tmp_path, capsys, corpus_dir):
     assert "likert" not in report
     assert {"file": "likert.csv",
             "reason": f"{work / 'likert.csv'}:2: score is not an integer: 'eleven'"
+            } in report["rejected"]
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_rejects_a_repeated_likert_answer(tmp_path, capsys, corpus_dir):
+    # counted twice, P1's two answers to 'size' gave mean 5.5, n 2
+    work = tmp_path / "trials"
+    shutil.copytree(corpus_dir, work)
+    (work / "likert.csv").write_text("participant,item,score\nP1,size,2\nP1,size,9\n")
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(work), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "likert" not in report
+    assert {"file": "likert.csv",
+            "reason": f"{work / 'likert.csv'}:3: P1 already answered 'size'"
             } in report["rejected"]
     assert capsys.readouterr().err == ""
 

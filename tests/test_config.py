@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from wristkit.biomech import DEFAULT_CONVENTION, GRAVITY
 from wristkit.cli import main
 from wristkit.config import DEFAULTS, load_config
 from wristkit.errors import ConfigError
+from wristkit.transmission import Gearing
+from wristkit.trials import DEFAULT_ANGLE_BOUNDS, DEFAULT_MAX_INTERP_FRACTION
 
 
 def test_defaults_load_without_file():
@@ -22,6 +25,16 @@ def test_defaults_load_without_file():
     assert cfg.angle_bounds == (-60.0, 45.0)
     assert cfg.max_interpolated_fraction == 0.05
     assert cfg.convention.axis_obliquity == pytest.approx(math.radians(50))
+
+
+def test_config_defaults_are_the_library_defaults():
+    """The library's defaults gate the data; the config's reach the CLI's report."""
+    cfg = load_config()
+    assert cfg.gearing == Gearing()
+    assert cfg.convention == DEFAULT_CONVENTION
+    assert cfg.gravity == GRAVITY
+    assert cfg.angle_bounds == DEFAULT_ANGLE_BOUNDS
+    assert cfg.max_interpolated_fraction == DEFAULT_MAX_INTERP_FRACTION
 
 
 def test_overrides(tmp_path):
@@ -81,6 +94,20 @@ def test_undecodable_config_is_a_config_error(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_bytes(b"[load]\nhandheld_mass_kg = 0.3\xff\n")
     with pytest.raises(ConfigError, match=r"toolkit.ini: .*can't decode byte 0xff"):
+        load_config(path)
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "toolkit.ini"
+    path.write_bytes(b"\xef\xbb\xbf[load]\nhandheld_mass_kg = 0.3\n")
+    assert load_config(path).load.handheld_mass == 0.3
+
+
+def test_the_start_of_a_byte_order_mark_is_a_config_error(tmp_path):
+    path = tmp_path / "toolkit.ini"
+    path.write_bytes(b"\xef\xbb")  # not an empty file, which would load the defaults
+    with pytest.raises(ConfigError, match=r"toolkit.ini: 'utf-8' codec can't decode bytes in "
+                                          r"position 0-1: unexpected end of data$"):
         load_config(path)
 
 

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wristkit.biomech import TorqueCurve
 from wristkit.errors import DataError
-from wristkit.trials import BUTTONS, TrialLog
+from wristkit.transmission import Gearing
+from wristkit.trials import BUTTONS, TrialLog, clean_interpolate, trial_metrics
 from wristkit import fileio
 
 import corpus
@@ -380,6 +381,97 @@ def test_a_malformed_file_is_read_from_disk_once(tmp_path, reader, text, message
     assert read_text.call_count == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("angle_rad,moment_Nm\n0,1\n0.1,,2\n", ":3: expected 2 fields, got 3"),
+    ("angle_rad,moment_Nm\n0,1\n0.1,2,,\n", ":3: expected 2 fields, got 4")])
+def test_a_curve_row_holding_two_commas_keeps_its_message(tmp_path, text, message):
+    """Blank cells are spelled ``nan`` for every plain file, but such a curve row has a
+    third cell, so ``loadtxt`` declines it and the row reader names it."""
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    assert _assert_readers_agree(path, _curve_outcome) == f"{path}{message}"
+
+
+def test_a_blank_curve_row_of_commas_is_skipped(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("angle_rad,moment_Nm\n0,1\n0.1,2\n")
+    plain = _curve_outcome(path)
+    path.write_text("angle_rad,moment_Nm\n0,1\n,,\n0.1,2\n")
+    assert _assert_readers_agree(path, _curve_outcome) == plain
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (fileio.read_torque_curve, "angle_rad,moment_Nm\n0,1\n0.1,x\n",
+     ":3: moment_Nm is not a number: 'x'"),
+    (fileio.read_torque_curve, "angle_rad,moment_Nm\n0,nan\n0.1,1\n",
+     ": curve samples must be finite"),
+    (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,1,2,B7\n",
+     ":3: unknown button 'B7'"),
+    (fileio.read_trial_log, "t_s,angle_deg,current_mA,button\n0,1,2,\n0,1,2,\n",
+     ": timestamps must be strictly increasing"),
+    (fileio.read_spring_catalog, "name,stiffness_Nmm_per_deg\n,10\n", ":2: empty spring name"),
+    (fileio.read_spring_catalog, "name,stiffness_Nmm_per_deg\n", ": catalog has no entries"),
+    (fileio.read_likert_responses, "participant,item\n", ":1: expected header "
+     "'participant,item,score', got 'participant,item'"),
+    (fileio.read_report, "{\n]", ":2: malformed JSON: Expecting property name enclosed in "
+     "double quotes"),
+    (fileio.read_report, "[]", ": report must be a JSON object")],
+    ids=["curve row", "curve", "log row", "log", "catalog row", "catalog", "likert",
+         "report line", "report"])
+def test_a_file_is_named_as_its_caller_wrote_it(tmp_path, monkeypatch, reader, text, message):
+    """A row error and a refusal of the whole file both name ``./x.csv``, not ``x.csv``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text(text)
+    with pytest.raises(DataError) as info:
+        reader("./x.csv")
+    assert str(info.value) == f"./x.csv{message}"
+
+
+def test_a_trial_log_with_a_byte_order_mark_gives_the_same_metrics(tmp_path, corpus_dir):
+    log = sorted(corpus_dir.glob("P*.csv"))[0]
+    marked = tmp_path / log.name
+    marked.write_bytes(b"\xef\xbb\xbf" + log.read_bytes())
+
+    def metrics(path):
+        cleaned, fraction = clean_interpolate(fileio.read_trial_log(path))
+        return trial_metrics(cleaned, Gearing(), fraction)
+    assert metrics(marked) == metrics(log)
+
+
+@pytest.mark.parametrize("outcome, text", [
+    (_curve_outcome, "angle_rad,moment_Nm\n0,1\n0.1,2\n"),
+    (_curve_outcome, "angle_rad,moment_Nm\n0,1\n0.1,x\n"),
+    (fileio.read_spring_catalog, "name,stiffness_Nmm_per_deg\nS1,10\n"),
+    (fileio.read_likert_responses, "participant,item,score\nP1,size,3\n"),
+    (fileio.read_report, '{"n_trials": 1}\n')],
+    ids=["curve", "curve row error", "catalog", "likert", "report"])
+def test_a_byte_order_mark_is_dropped(tmp_path, outcome, text):
+    """Spreadsheets that save "CSV UTF-8" start the file with one."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert str(outcome(marked)).replace("marked", "plain") == str(outcome(plain))
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+def test_a_bad_byte_names_its_line(tmp_path, mark):
+    path = tmp_path / "t.csv"
+    path.write_bytes(mark + b"t_s,angle_deg,current_mA,button\n0,1,2,\n0.01,\xff,2,\n")
+    with pytest.raises(DataError) as info:
+        fileio.read_trial_log(path)
+    assert str(info.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+def test_the_start_of_a_byte_order_mark_is_not_text(tmp_path, data):
+    """Read through a text file, "utf-8-sig" would take these bytes for an empty file."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        fileio.read_trial_log(path)
+    assert str(info.value) == f"{path}:1: not UTF-8 text (unexpected end of data)"
+
+
 _WRITTEN_NUMBER = st.tuples(st.floats(allow_infinity=False),
                             st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format]))
 
@@ -453,6 +545,15 @@ def test_likert_reader(tmp_path):
     path.write_text("participant,item,score\n\n")
     with pytest.raises(DataError, match=r"likert\.csv: no responses$"):
         fileio.read_likert_responses(path)
+
+
+def test_likert_reader_rejects_a_repeated_answer(tmp_path):
+    """A second answer to one item would count its participant twice."""
+    path = tmp_path / "likert.csv"
+    path.write_text("participant,item,score\nP1,size,2\nP2,size,4\nP1,weight,5\nP1,size,9\n")
+    with pytest.raises(DataError) as info:
+        fileio.read_likert_responses(path)
+    assert str(info.value) == f"{path}:5: P1 already answered 'size'"
 
 
 def test_report_rendering_is_deterministic(tmp_path):
