@@ -113,8 +113,8 @@ def cmd_simulate(cfg, args) -> int:
             summaries.append(_curve_summary(curves[-1]))
         except DomainError as exc:
             raise DataError(f"{posture.label}: {exc}") from None
-    out = Path(args.out)
-    paths = [out] if len(curves) == 1 else [out / f"{c.posture_label}.csv" for c in curves]
+    paths = ([args.out] if len(curves) == 1
+             else [os.path.join(args.out, f"{c.posture_label}.csv") for c in curves])
     for curve, path in zip(curves, paths):
         fileio.write_torque_curve(path, curve)
     for summary, path in zip(summaries, paths):
@@ -177,14 +177,13 @@ def cmd_fit(cfg, args) -> int:
 
 
 def cmd_analyze(cfg, args) -> int:
-    trial_dir = Path(args.trial_dir)
-    if not trial_dir.is_dir():
-        raise DataError(f"not a directory: {trial_dir}")
+    if not os.path.isdir(args.trial_dir):
+        raise DataError(f"not a directory: {args.trial_dir}")
     metrics, rejected, likert = [], [], ()
     first_file = {}  # trial meta -> the first file name that parsed to it
-    for name in sorted(os.listdir(trial_dir)):  # names, not a Path per file held at once
-        path = trial_dir / name
-        if not path.is_file():
+    for name in sorted(os.listdir(args.trial_dir)):  # names, not a path per file held at once
+        path = os.path.join(args.trial_dir, name)
+        if not os.path.isfile(path):
             continue
         try:  # a bad trial log or likert.csv is rejected; the study goes on
             if name == "likert.csv":
@@ -206,11 +205,11 @@ def cmd_analyze(cfg, args) -> int:
     if not metrics:
         for name, reason in rejected:
             print(f"rejected {name}: {reason}", file=sys.stderr)
-        raise DataError(f"no usable trial logs in {trial_dir}")
+        raise DataError(f"no usable trial logs in {args.trial_dir}")
 
     report = trials.aggregate_report(metrics, cfg.gearing, rejected, likert)
     fileio.write_report(args.out, report)
-    plots_dir = Path(args.plots_dir) if args.plots_dir else Path(args.out).parent
+    plots_dir = args.plots_dir or Path(args.out).parent
     written = fileio.write_plot_csvs(report, plots_dir)
     print(f"{len(metrics)} trials analyzed, {len(rejected)} rejected "
           f"-> {args.out} + {len(written)} plot CSVs in {plots_dir}")
@@ -219,7 +218,7 @@ def cmd_analyze(cfg, args) -> int:
 
 def cmd_report(cfg, args) -> int:
     report = fileio.read_report(args.report)
-    plots_dir = Path(args.plots_dir) if args.plots_dir else Path(args.report).parent
+    plots_dir = args.plots_dir or Path(args.report).parent
     written = fileio.write_plot_csvs(report, plots_dir)
     print(f"re-rendered {len(written)} plot CSVs in {plots_dir}")
     return 0

@@ -102,42 +102,43 @@ class ToolkitConfig:
     max_interpolated_fraction: float
 
 
-def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(DEFAULTS)
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        user = configparser.ConfigParser(interpolation=None)
-        try:
-            with path.open(encoding="utf-8") as handle:  # less a byte-order mark, as CSVs are
-                user.read_string(handle.read().removeprefix("\ufeff"), str(path))
-        except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-            # configparser spreads a parse error over several lines; print it on one
-            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
-        if user.defaults():
-            raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
-                              f"set each key in its own section")
-        for section in user.sections():
-            if section not in DEFAULTS:
-                raise ConfigError(f"{path}: unknown config section [{section}]")
-            for key in user[section]:
-                if key in _RETIRED.get(section, ()):
-                    warnings.warn(f"{path}: [{section}] {key} is retired and ignored",
-                                  stacklevel=3)
-                elif key not in DEFAULTS[section]:
-                    raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-        parser.read_dict(user)
-    return parser
+def _read_ini(path) -> dict:
+    """A copy of ``DEFAULTS`` with the keys of the file at ``path`` (if any) written over it."""
+    values = {section: dict(keys) for section, keys in DEFAULTS.items()}
+    if path is None:
+        return values
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
+    user = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as handle:  # less a byte-order mark, as CSVs are
+            user.read_string(handle.read().removeprefix("\ufeff"), str(path))
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+        # configparser spreads a parse error over several lines; print it on one
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+    if user.defaults():
+        raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
+                          f"set each key in its own section")
+    for section in user.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"{path}: unknown config section [{section}]")
+        for key, raw in user.items(section):
+            if key in _RETIRED.get(section, ()):
+                warnings.warn(f"{path}: [{section}] {key} is retired and ignored",
+                              stacklevel=3)
+            elif key not in DEFAULTS[section]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            else:
+                values[section][key] = raw
+    return values
 
 
-def _number(parser, section, key, rule="finite") -> float | None:
+def _number(values, section, key, rule="finite") -> float | None:
     """``[section] key`` as written (degrees for a ``_deg`` key) once ``rule`` holds.
 
     A blank value is absent (None) only where the default is blank too.
     """
-    raw = parser.get(section, key)
+    raw = values[section][key]
     if not raw and not DEFAULTS[section][key]:
         return None
     try:
@@ -150,8 +151,8 @@ def _number(parser, section, key, rule="finite") -> float | None:
         raise ConfigError(str(exc)) from None
 
 
-def _deg(parser, section, key, rule="finite") -> float:
-    return math.radians(_number(parser, section, key, rule))
+def _deg(values, section, key, rule="finite") -> float:
+    return math.radians(_number(values, section, key, rule))
 
 
 def load_config(path=None) -> ToolkitConfig:
@@ -164,13 +165,13 @@ def load_config(path=None) -> ToolkitConfig:
     return _build(_read_ini(path), base_dir)
 
 
-def _build(parser, base_dir) -> ToolkitConfig:
+def _build(values, base_dir) -> ToolkitConfig:
     sec = "segments"
-    body_mass = _number(parser, sec, "body_mass_kg", "> 0")  # replaces hand_mass_kg when set
-    hand_mass = _number(parser, sec, "hand_mass_kg", ">= 0" if body_mass is None else "finite")
+    body_mass = _number(values, sec, "body_mass_kg", "> 0")  # replaces hand_mass_kg when set
+    hand_mass = _number(values, sec, "hand_mass_kg", ">= 0" if body_mass is None else "finite")
     if body_mass is not None:
-        sex = parser.get(sec, "sex")
-        fraction = _number(parser, sec, "hand_mass_fraction", "(0, 0.05)")
+        sex = values[sec]["sex"]
+        fraction = _number(values, sec, "hand_mass_fraction", "(0, 0.05)")
         if not sex and fraction is None:
             raise ConfigError("[segments] body_mass_kg needs sex or hand_mass_fraction")
         try:
@@ -178,26 +179,26 @@ def _build(parser, base_dir) -> ToolkitConfig:
         except DomainError as exc:  # the numbers passed above, so only sex is left
             raise ConfigError(f"[segments] {exc}") from None
     segments = {"hand": BodySegment("hand", hand_mass,
-                                    _number(parser, sec, "hand_length_m", "> 0"),
-                                    _number(parser, sec, "hand_com_ratio", "[0, 1]"))}
+                                    _number(values, sec, "hand_length_m", "> 0"),
+                                    _number(values, sec, "hand_com_ratio", "[0, 1]"))}
 
     convention = KinematicConvention(
-        axis_obliquity=_deg(parser, "kinematics", "axis_obliquity_deg"),
-        grip_extension=_deg(parser, "kinematics", "grip_extension_deg"),
-        carrying_angle=_deg(parser, "kinematics", "carrying_angle_deg"),
+        axis_obliquity=_deg(values, "kinematics", "axis_obliquity_deg"),
+        grip_extension=_deg(values, "kinematics", "grip_extension_deg"),
+        carrying_angle=_deg(values, "kinematics", "carrying_angle_deg"),
     )
-    gravity = _number(parser, "kinematics", "gravity_m_s2", "> 0")
+    gravity = _number(values, "kinematics", "gravity_m_s2", "> 0")
 
     postures = {
-        label: ArmPosture(*(_deg(parser, "postures", f"{label.lower()}_{joint}_deg")
+        label: ArmPosture(*(_deg(values, "postures", f"{label.lower()}_{joint}_deg")
                             for joint in ("shoulder", "elbow", "pronation")), label)
         for label in ("P1", "P2", "P3")
     }
 
-    motion = MotionProfile(mean_angle=_deg(parser, "motion", "mean_deg"),
-                           amplitude=_deg(parser, "motion", "amplitude_deg", ">= 0"))
-    limit_lo = _deg(parser, "motion", "min_angle_deg")
-    limit_hi = _deg(parser, "motion", "max_angle_deg")
+    motion = MotionProfile(mean_angle=_deg(values, "motion", "mean_deg"),
+                           amplitude=_deg(values, "motion", "amplitude_deg", ">= 0"))
+    limit_lo = _deg(values, "motion", "min_angle_deg")
+    limit_hi = _deg(values, "motion", "max_angle_deg")
     if not limit_lo < limit_hi:
         raise ConfigError("[motion] min_angle_deg must be below max_angle_deg")
     lo, hi = motion.angle_range()
@@ -207,19 +208,17 @@ def _build(parser, base_dir) -> ToolkitConfig:
             f"outside the joint limits [{math.degrees(limit_lo):.6g}, "
             f"{math.degrees(limit_hi):.6g}] deg")
 
-    load = LoadSpec(handheld_mass=_number(parser, "load", "handheld_mass_kg", ">= 0"),
-                    grip_offset=_number(parser, "load", "grip_offset_m", ">= 0"))
+    load = LoadSpec(handheld_mass=_number(values, "load", "handheld_mass_kg", ">= 0"),
+                    grip_offset=_number(values, "load", "grip_offset_m", ">= 0"))
     gearing = Gearing(
-        ratio=_number(parser, "transmission", "gear_ratio", "> 0"),
-        efficiency=_number(parser, "transmission", "efficiency", "(0, 1]"),
-        torque_constant=_number(parser, "transmission", "torque_constant_nm_per_a", "> 0"),
+        ratio=_number(values, "transmission", "gear_ratio", "> 0"),
+        efficiency=_number(values, "transmission", "efficiency", "(0, 1]"),
+        torque_constant=_number(values, "transmission", "torque_constant_nm_per_a", "> 0"),
     )
 
-    catalog_path = parser.get("springs", "catalog_path")
+    catalog_path = values["springs"]["catalog_path"]
     if catalog_path:
-        resolved = Path(catalog_path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
+        resolved = base_dir / catalog_path  # an absolute catalog_path wins
         if not resolved.is_file():
             raise ConfigError(f"[springs] catalog_path not found: {resolved}")
         try:
@@ -228,13 +227,13 @@ def _build(parser, base_dir) -> ToolkitConfig:
             raise ConfigError(str(exc)) from exc
     else:
         catalog = DEFAULT_CATALOG
-    pre_wind = _number(parser, "springs", "pre_wind_rad", ">= 0")
+    pre_wind = _number(values, "springs", "pre_wind_rad", ">= 0")
 
-    angle_bounds = (_number(parser, "analysis", "angle_min_deg"),
-                    _number(parser, "analysis", "angle_max_deg"))
+    angle_bounds = (_number(values, "analysis", "angle_min_deg"),
+                    _number(values, "analysis", "angle_max_deg"))
     if not angle_bounds[0] < angle_bounds[1]:
         raise ConfigError("[analysis] angle_min_deg must be below angle_max_deg")
-    max_fraction = _number(parser, "analysis", "max_interpolated_fraction", "[0, 1]")
+    max_fraction = _number(values, "analysis", "max_interpolated_fraction", "[0, 1]")
 
     return ToolkitConfig(segments, convention, gravity, postures, motion, load,
                          gearing, catalog, pre_wind, angle_bounds, max_fraction)

@@ -64,11 +64,11 @@ def _read_text(path) -> str:
 def _write_text(path, text) -> None:
     """Write ``text`` (an iterable of strs) to ``path`` via a temporary file beside
     it and ``os.replace``: a failure never leaves half a file.  An ``OSError`` names ``path``."""
-    path = Path(path)
-    if path.is_dir():
+    target = Path(path)
+    if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(text)
@@ -111,14 +111,14 @@ def _plain_table(text, header, dtype):
     text, a character of ``_NOT_PLAIN``, another header, no row, an over-long line, a
     row of another cell count or a number ``loadtxt`` rejects.  ``loadtxt`` parses
     with the C core of ``float``, so ``_records`` agrees on every table returned."""
-    first, _, body = text.partition("\n")
+    lines = text.split("\n")
     limit = csv.field_size_limit()
     if (not text.isascii() or any(char in text for char in _NOT_PLAIN)  # "\n" ends lines
-            or first != ",".join(header) or not body.strip("\n")  # loadtxt warns
-            or len(body) > limit and max(map(len, body.split("\n"))) > limit):
+            or lines[0] != ",".join(header) or not any(lines[1:])  # loadtxt warns
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
     try:
-        return np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except ValueError:
         return None
 

@@ -70,9 +70,9 @@ DEFAULT_CATALOG = (
 def fit_linear(curve: TorqueCurve) -> LinearFit:
     """Least-squares line of moment on angle.
 
-    R^2 = 1 - SS_res/SS_tot, clamped to [0, 1]; for constant moments
-    (SS_tot = 0) it is 1 when the fit is exact and 0 otherwise.  A sum
-    that overflows a float raises :class:`DomainError`.
+    R^2 = 1 - SS_res/SS_tot, clamped to [0, 1]; constant moments give the flat
+    line through them (slope 0, R^2 1), and an SS_tot that underflows to 0 gives 1
+    for an exact fit and 0 otherwise.  An overflowing sum raises :class:`DomainError`.
     """
     x = np.asarray(curve.angles, dtype=float)
     y = np.asarray(curve.moments, dtype=float)
@@ -85,6 +85,8 @@ def fit_linear(curve: TorqueCurve) -> LinearFit:
         sxx = float(((x - xm) ** 2).sum())
         if sxx == 0.0:
             raise DomainError("fit needs at least 2 distinct angles")
+        if (y == y[0]).all():  # a rounded mean would tilt the line
+            return LinearFit(0.0, float(y[0]), 1.0, n)
         sxy = float(((x - xm) * (y - ym)).sum())
         slope = sxy / sxx
         intercept = ym - slope * xm

@@ -146,7 +146,9 @@ def test_fit_names_a_curve_as_it_was_written(tmp_path, capsys, monkeypatch):
      "fit sums are not finite: the curve's angles or moments are too large"),
     (["0,1", "1,2"], "derived neutral angle -1 rad is negative: "
                      "the spring stays loaded across the whole motion range"),
-], ids=["one-row", "angles-near-the-float-limit", "negative-neutral-angle-as-error"])
+    (["0,0.4", "0.1,0.4", "0.2,0.4"], "cannot derive a spring from a zero-slope fit"),
+], ids=["one-row", "angles-near-the-float-limit", "negative-neutral-angle-as-error",
+        "flat-curve"])
 def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows, message):
     mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
     mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")
@@ -193,6 +195,24 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
         assert run(["--config", str(cfg), "simulate", "--posture", "all", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "data error: P1: curve samples must be finite\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["fit", "./ok.csv", "--out", "./outdir"], 2,
+     "i/o error: [Errno 21] Is a directory: './outdir'"),
+    (["--config", "./bad2.ini", "simulate", "--out", "./c.csv"], 3,
+     "config error: ./bad2.ini: While reading from './bad2.ini' [line 2]: "
+     "section 'load' already exists"),
+    (["analyze", "./nonexist"], 2, "data error: not a directory: ./nonexist"),
+], ids=["output-path", "config-file", "trial-dir"])
+def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
+                                                message):
+    monkeypatch.chdir(tmp_path)
+    Path("ok.csv").write_text("angle_rad,moment_Nm\n0,1\n1,0\n")
+    Path("outdir").mkdir()
+    Path("bad2.ini").write_text("[load]\n[load]\n")
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_fit_reports_the_pretension_of_a_pre_wound_spring(tmp_path, capsys):

@@ -38,19 +38,24 @@ def test_config_defaults_are_the_library_defaults():
 
 
 def test_overrides(tmp_path):
+    defaults = load_config()
     path = tmp_path / "toolkit.ini"
     path.write_text("[postures]\n"
                     "p3_pronation_deg = 90\n"
                     "[load]\n"
                     "handheld_mass_kg = 0.3\n"
+                    "[transmission]\n"
+                    "gear_ratio = 64\n"
                     "[springs]\n"
                     "pre_wind_rad = 0.589\n")
     cfg = load_config(path)
     assert cfg.postures["P3"].forearm_pronation == pytest.approx(math.radians(90))
     assert cfg.load.handheld_mass == 0.3
+    assert cfg.gearing.ratio == 64.0
     assert cfg.pre_wind == 0.589
-    # untouched sections keep defaults
+    # untouched sections keep defaults, and the overrides never reach the defaults
     assert cfg.motion.amplitude == pytest.approx(math.radians(37))
+    assert load_config() == defaults
 
 
 def test_body_mass_derivation(tmp_path):

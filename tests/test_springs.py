@@ -50,10 +50,11 @@ def test_fit_matches_normal_equations_oracle_on_noisy_data():
 def test_fit_degenerate_inputs():
     with pytest.raises(DomainError):
         fit_linear(TorqueCurve(np.array([0.3]), np.array([1.0])))
-    # constant moments: perfect horizontal line
-    fit = fit_linear(TorqueCurve(np.array([0.0, 1.0, 2.0]), np.array([5.0, 5.0, 5.0])))
-    assert fit.slope == 0.0
-    assert fit.r_squared == 1.0
+    # constant moments: the flat line through them, even where their mean rounds
+    for moment in (0.1, 0.2, 0.3, 5.0):
+        for n in (3, 50, 2000):
+            fit = fit_linear(TorqueCurve(np.linspace(-0.77, 0.52, n), np.full(n, moment)))
+            assert (fit.slope, fit.intercept, fit.r_squared) == (0.0, moment, 1.0), (moment, n)
     with pytest.raises(DomainError):
         LinearFit(1.0, 0.0, 1.5, 10)
     with pytest.raises(DomainError):
