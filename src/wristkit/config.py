@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
-                      MotionProfile, hand_mass_from_body)
+from .biomech import (HAND_MASS_FRACTION, ArmPosture, BodySegment, KinematicConvention,
+                      LoadSpec, MotionProfile, hand_mass_from_body)
 from .errors import ConfigError, DataError, DomainError, check_real
 from .springs import DEFAULT_CATALOG
 from .transmission import Gearing
@@ -34,7 +34,7 @@ DEFAULTS = {
         "hand_length_m": "0.19",
         "hand_com_ratio": "0.5",
         "body_mass_kg": "",        # optional: derive hand mass when set
-        "sex": "",                 # male | female, required with body_mass_kg
+        "sex": "",                 # male | female; body_mass_kg needs it or the fraction
         "hand_mass_fraction": "",  # optional override of the sex-based fraction
     },
     "kinematics": {
@@ -110,11 +110,11 @@ def _read_ini(path) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
     user = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as handle:  # less a byte-order mark, as CSVs are
-            user.read_string(handle.read().removeprefix("\ufeff"), str(path))
-    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-        # configparser spreads a parse error over several lines; print it on one
+    try:  # decoded as every CSV is, so a bad byte is named by its line
+        user.read_string(fileio._read_text(path), str(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    except configparser.Error as exc:  # spread over several lines: print it on one
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     if user.defaults():
         raise ConfigError(f"{path}: a [DEFAULT] section is not supported; "
@@ -168,16 +168,19 @@ def load_config(path=None) -> ToolkitConfig:
 def _build(values, base_dir) -> ToolkitConfig:
     sec = "segments"
     body_mass = _number(values, sec, "body_mass_kg", "> 0")  # replaces hand_mass_kg when set
-    hand_mass = _number(values, sec, "hand_mass_kg", ">= 0" if body_mass is None else "finite")
+    hand_mass = _number(values, sec, "hand_mass_kg", ">= 0")
+    sex = values[sec]["sex"]
+    if sex not in ("", *HAND_MASS_FRACTION):
+        raise ConfigError(f"[segments] sex must be one of {sorted(HAND_MASS_FRACTION)}, "
+                          f"got {sex!r}")
+    fraction = _number(values, sec, "hand_mass_fraction", "(0, 0.05)")
     if body_mass is not None:
-        sex = values[sec]["sex"]
-        fraction = _number(values, sec, "hand_mass_fraction", "(0, 0.05)")
         if not sex and fraction is None:
             raise ConfigError("[segments] body_mass_kg needs sex or hand_mass_fraction")
-        try:
-            hand_mass = hand_mass_from_body(body_mass, sex, fraction)
-        except DomainError as exc:  # the numbers passed above, so only sex is left
-            raise ConfigError(f"[segments] {exc}") from None
+        hand_mass = hand_mass_from_body(body_mass, sex, fraction)
+    elif sex or fraction is not None:
+        raise ConfigError(f"[segments] {'sex' if sex else 'hand_mass_fraction'} "
+                          f"needs body_mass_kg")
     segments = {"hand": BodySegment("hand", hand_mass,
                                     _number(values, sec, "hand_length_m", "> 0"),
                                     _number(values, sec, "hand_com_ratio", "[0, 1]"))}
@@ -229,8 +232,8 @@ def _build(values, base_dir) -> ToolkitConfig:
         catalog = DEFAULT_CATALOG
     pre_wind = _number(values, "springs", "pre_wind_rad", ">= 0")
 
-    angle_bounds = (_number(values, "analysis", "angle_min_deg"),
-                    _number(values, "analysis", "angle_max_deg"))
+    angle_bounds = (_number(values, "analysis", "angle_min_deg", "[-180, 180]"),
+                    _number(values, "analysis", "angle_max_deg", "[-180, 180]"))
     if not angle_bounds[0] < angle_bounds[1]:
         raise ConfigError("[analysis] angle_min_deg must be below angle_max_deg")
     max_fraction = _number(values, "analysis", "max_interpolated_fraction", "[0, 1]")

@@ -65,16 +65,18 @@ def _write_text(path, text) -> None:
     """Write ``text`` (an iterable of strs) to ``path`` via a temporary file beside
     it and ``os.replace``: a failure never leaves half a file.  An ``OSError`` names ``path``."""
     target = Path(path)
-    if target.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
     try:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        with suppress(FileExistsError):  # a parent that is a file fails at the open, below
+            target.parent.mkdir(parents=True)
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(text)
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # none made, or no directory for one: report the first error
+            tmp.unlink()
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

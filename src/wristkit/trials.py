@@ -235,10 +235,13 @@ def trial_metrics(log: TrialLog, gear: Gearing,
     """Bundle ROM and RMS-torque outcomes for one cleaned trial.
 
     Every per-trial check is made here, so :func:`aggregate_report` never
-    raises for metrics this returns: a torque with no finite joint torque
-    through the gearing raises :class:`DataError`, which rejects the one log.
+    raises for metrics this returns: a total ROM that is not finite, or a
+    torque with no finite joint torque through the gearing, raises
+    :class:`DataError`, which rejects the one log.
     """
     rom_ab, rom_ad, rom_total = rom_metrics(log)
+    if not math.isfinite(rom_total):
+        raise DataError(f"total ROM is not finite ({rom_ab} + {rom_ad} deg)")
     tau_rms = rms_torque(log, gear)
     if not math.isfinite(tau_rms * gear.ratio * gear.efficiency):
         raise DataError(f"joint torque is not finite (RMS motor torque {tau_rms} N*m)")

@@ -204,15 +204,29 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
      "config error: ./bad2.ini: While reading from './bad2.ini' [line 2]: "
      "section 'load' already exists"),
     (["analyze", "./nonexist"], 2, "data error: not a directory: ./nonexist"),
-], ids=["output-path", "config-file", "trial-dir"])
+    (["--config", "./bad.ini", "simulate", "--out", "./c.csv"], 3,
+     "config error: ./bad.ini:3: not UTF-8 text (invalid start byte)"),
+    # ./a is a file: the error names the output, not the directory it needed
+    (["fit", "./ok.csv", "--out", "./a/b.json"], 2,
+     "i/o error: [Errno 20] Not a directory: './a/b.json'"),
+    (["fit", "./ok.csv", "--out", "./a/x/y.json"], 2,
+     "i/o error: [Errno 20] Not a directory: './a/x/y.json'"),
+    (["simulate", "--posture", "all", "--out", "./a"], 2,
+     "i/o error: [Errno 20] Not a directory: './a/P1.csv'"),
+], ids=["output-path", "config-file", "trial-dir", "config-byte", "parent-is-a-file",
+        "ancestor-is-a-file", "out-dir-is-a-file"])
 def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
                                                 message):
     monkeypatch.chdir(tmp_path)
     Path("ok.csv").write_text("angle_rad,moment_Nm\n0,1\n1,0\n")
     Path("outdir").mkdir()
     Path("bad2.ini").write_text("[load]\n[load]\n")
+    Path("bad.ini").write_bytes(b"[load]\nhandheld_mass_kg = 0.3\n# \xff\n")
+    Path("a").write_text("not a directory\n")
     assert run(argv) == code
     assert capsys.readouterr() == ("", message + "\n")
+    assert sorted(os.listdir()) == ["a", "bad.ini", "bad2.ini", "ok.csv", "outdir"]
+    assert os.listdir("outdir") == []
 
 
 def test_fit_reports_the_pretension_of_a_pre_wound_spring(tmp_path, capsys):
@@ -294,6 +308,17 @@ def test_analyze_survives_torques_near_the_float_limit(tmp_path, capsys, corpus_
     assert max(t["tau_rms_nm"] for t in report["trials"]) > 1e307
     assert report["friedman"] == json.loads(expected_report_text)["friedman"]
     capsys.readouterr()
+
+
+def test_analyze_window_beyond_half_a_turn_is_a_config_error(tmp_path, capsys, corpus_dir):
+    # a window of +-1.7e308 deg let a trace's ROM overflow and stop the whole study
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[analysis]\nangle_min_deg = -1.7e308\nangle_max_deg = 1.7e308\n")
+    out = tmp_path / "report.json"
+    assert run(["--config", str(cfg), "analyze", str(corpus_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "config error: [analysis] angle_min_deg must lie in "
+                                       "[-180, 180], got -1.7e+308\n")
+    assert not out.exists()
 
 
 def test_analyze_ignores_unrelated_files(tmp_path, capsys, corpus_dir):

@@ -96,10 +96,14 @@ def test_default_section_rejected(tmp_path):
 
 
 def test_undecodable_config_is_a_config_error(tmp_path):
+    # named by its line, as a CSV's bad byte is
     path = tmp_path / "toolkit.ini"
-    path.write_bytes(b"[load]\nhandheld_mass_kg = 0.3\xff\n")
-    with pytest.raises(ConfigError, match=r"toolkit.ini: .*can't decode byte 0xff"):
-        load_config(path)
+    for data, line in ((b"[load]\nhandheld_mass_kg = 0.3\xff\n", 2),
+                       (b"[load]\nhandheld_mass_kg = 0.3\n# \xff\n", 3)):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=rf"toolkit.ini:{line}: not UTF-8 text "
+                                              r"\(invalid start byte\)$"):
+            load_config(path)
 
 
 def test_config_with_a_byte_order_mark_loads(tmp_path):
@@ -111,8 +115,8 @@ def test_config_with_a_byte_order_mark_loads(tmp_path):
 def test_the_start_of_a_byte_order_mark_is_a_config_error(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_bytes(b"\xef\xbb")  # not an empty file, which would load the defaults
-    with pytest.raises(ConfigError, match=r"toolkit.ini: 'utf-8' codec can't decode bytes in "
-                                          r"position 0-1: unexpected end of data$"):
+    with pytest.raises(ConfigError, match=r"toolkit.ini:1: not UTF-8 text "
+                                          r"\(unexpected end of data\)$"):
         load_config(path)
 
 
@@ -186,11 +190,11 @@ REJECTED = [
     ("transmission", "efficiency", "0", "lie in (0, 1], got 0.0"),
     ("transmission", "torque_constant_nm_per_a", "0", "be > 0, got 0.0"),
     ("springs", "pre_wind_rad", "-inf", "be >= 0, got -inf"),
-    ("analysis", "angle_min_deg", "nan", "be finite, got nan"),
-    ("analysis", "angle_max_deg", "inf", "be finite, got inf"),
+    ("analysis", "angle_min_deg", "nan", "lie in [-180, 180], got nan"),
+    ("analysis", "angle_max_deg", "inf", "lie in [-180, 180], got inf"),
     ("analysis", "max_interpolated_fraction", "1.01", "lie in [0, 1], got 1.01"),
 ]
-# sex and the hand-mass fraction are read only when a body mass is given
+# sex and the hand-mass fraction need a body mass; with one, their own rule is the one broken
 _WITH_BODY_MASS = {"sex", "hand_mass_fraction"}
 
 
@@ -213,13 +217,35 @@ def test_rejected_value_is_one_line_naming_its_key(tmp_path, capsys, section, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, must", [
+    ("sex = martian\nhand_mass_fraction = banana\n",
+     "sex must be one of ['female', 'male'], got 'martian'"),
+    ("sex = male\n", "sex needs body_mass_kg"),
+    ("hand_mass_fraction = 0.006\n", "hand_mass_fraction needs body_mass_kg"),
+    ("hand_mass_fraction = banana\n", "hand_mass_fraction must be a number, got 'banana'"),
+    ("hand_mass_kg = -5\nbody_mass_kg = 80\nsex = male\n", "hand_mass_kg must be >= 0, got -5.0"),
+    ("body_mass_kg = 70\nhand_mass_fraction = 0.006\nsex = robot\n",
+     "sex must be one of ['female', 'male'], got 'robot'"),
+], ids=["bad-sex-alone", "sex-alone", "fraction-alone", "bad-fraction-alone",
+        "negative-hand-mass-with-body-mass", "bad-sex-with-fraction"])
+def test_segment_keys_keep_their_rule_whatever_else_is_set(tmp_path, capsys, text, must):
+    path = tmp_path / "toolkit.ini"
+    path.write_text(f"[segments]\n{text}")
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(path), "simulate", "--posture", "P1", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"config error: [segments] {must}\n")
+    assert not out.exists()
+
+
 def test_each_rule_admits_its_boundary_value(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_text("[segments]\nhand_mass_kg = 0\nhand_com_ratio = 1\n"
                     "[motion]\namplitude_deg = 0\n[load]\nhandheld_mass_kg = 0\ngrip_offset_m = 0\n"
                     "[transmission]\nefficiency = 1\n[springs]\npre_wind_rad = 0\n"
-                    "[analysis]\nmax_interpolated_fraction = 0\n")
+                    "[analysis]\nmax_interpolated_fraction = 0\n"
+                    "angle_min_deg = -180\nangle_max_deg = 180\n")
     cfg = load_config(path)
+    assert cfg.angle_bounds == (-180.0, 180.0)
     assert (cfg.segments["hand"].mass, cfg.segments["hand"].com_ratio) == (0.0, 1.0)
     assert (cfg.motion.amplitude, cfg.load.handheld_mass, cfg.load.grip_offset) == (0.0, 0.0, 0.0)
     assert (cfg.gearing.efficiency, cfg.pre_wind, cfg.max_interpolated_fraction) == (1.0, 0.0, 0.0)

@@ -260,6 +260,13 @@ def test_trial_metrics_rejects_a_current_whose_torque_overflows():
         trial_metrics(make_log([0.0], currents=[1e152]), Gearing(ratio=1e300))
 
 
+def test_trial_metrics_rejects_a_rom_that_overflows():
+    # any angle bounds may reach clean_interpolate, and each side is finite alone
+    log, _ = clean_interpolate(make_log([-1e308, 0.0, 1e308]), (-1.7e308, 1.7e308))
+    with pytest.raises(DataError, match=r"^total ROM is not finite \(1e\+308 \+ 1e\+308 deg\)$"):
+        trial_metrics(log, GEAR)
+
+
 # ---------------------------------------------------------------------------
 # repeatability
 # ---------------------------------------------------------------------------
