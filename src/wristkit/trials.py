@@ -352,10 +352,23 @@ def _five_number(values) -> dict:
     return summary
 
 
+def _scaled(values) -> tuple:
+    """``(values sorted, over 2**exp; exp)``: the power of two that bounds them scales
+    them exactly and keeps their order, and no sum of them then overflows."""
+    ordered = sorted(values)
+    _, exp = math.frexp(max(abs(ordered[0]), abs(ordered[-1])))
+    return np.ldexp(ordered, -exp), exp
+
+
+def _mean(values) -> float:
+    scaled, exp = _scaled(values)
+    return math.ldexp(float(scaled.mean()), exp)
+
+
 def _mean_sd(values) -> dict:
-    arr = np.array(sorted(values), dtype=float)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return {"mean": float(arr.mean()), "sd": sd, "n": int(arr.size)}
+    scaled, exp = _scaled(values)
+    sd = math.ldexp(float(scaled.std(ddof=1)), exp) if scaled.size > 1 else 0.0
+    return {"mean": math.ldexp(float(scaled.mean()), exp), "sd": sd, "n": int(scaled.size)}
 
 
 _OUTCOMES = (("rom_total_deg", operator.attrgetter("rom_total")),
@@ -363,18 +376,13 @@ _OUTCOMES = (("rom_total_deg", operator.attrgetter("rom_total")),
 
 
 def _friedman_matrix(cells, participants, springs, value_of):
-    """``(participant x spring matrix of per-cell means over 2**k, None)``, or ``(None,
-    reason)`` naming the first missing cell; ``cells`` maps (participant, spring) to trials."""
+    """``(participant x spring matrix of per-cell means, None)``, or ``(None, reason)``
+    naming the first missing cell; ``cells`` maps (participant, spring) to trials."""
     for p in participants:
         for s in springs:
             if (p, s) not in cells:
                 return None, f"participant {p!r} has no {s!r} trials"
-    # one power of two for every cell scales exactly, keeps the ranks and
-    # bounds each cell sum, which near the float limit would overflow
-    _, exp = math.frexp(max(abs(value_of(m)) for group in cells.values() for m in group))
-    def cell_mean(group):  # scaling keeps the order: sort, then scale
-        return float(np.array([math.ldexp(v, -exp) for v in sorted(map(value_of, group))]).mean())
-    return [[cell_mean(cells[p, s]) for s in springs] for p in participants], None
+    return [[_mean(map(value_of, cells[p, s])) for s in springs] for p in participants], None
 
 
 class TrialRecords:

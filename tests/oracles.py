@@ -117,3 +117,11 @@ def friedman_broadcast(data):
         return 0.0, 1.0, m - 1
     chi2 /= correction
     return chi2, chi2_survival(chi2, m - 1), m - 1
+
+
+def mean_sd(values):
+    """Mean, sample SD (0 for one value) and count of ``values`` as numpy reduces them
+    once sorted and unscaled: exact agreement where no sum overflows."""
+    arr = np.array(sorted(values), dtype=float)
+    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return {"mean": float(arr.mean()), "sd": sd, "n": int(arr.size)}

@@ -213,8 +213,13 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
      "i/o error: [Errno 20] Not a directory: './a/x/y.json'"),
     (["simulate", "--posture", "all", "--out", "./a"], 2,
      "i/o error: [Errno 20] Not a directory: './a/P1.csv'"),
+    # a relative catalog_path joins the config file's directory as written
+    (["--config", "./cfg/missing.ini", "simulate", "--out", "./c.csv"], 3,
+     "config error: [springs] catalog_path not found: ./cfg/./nowhere.csv"),
+    (["--config", "./cfg/t.ini", "simulate", "--out", "./c.csv"], 3,
+     "config error: ./cfg/./s.csv:2: stiffness_Nmm_per_deg is not a number: 'bad'"),
 ], ids=["output-path", "config-file", "trial-dir", "config-byte", "parent-is-a-file",
-        "ancestor-is-a-file", "out-dir-is-a-file"])
+        "ancestor-is-a-file", "out-dir-is-a-file", "catalog-missing", "catalog-bad-row"])
 def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
                                                 message):
     monkeypatch.chdir(tmp_path)
@@ -223,9 +228,14 @@ def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, a
     Path("bad2.ini").write_text("[load]\n[load]\n")
     Path("bad.ini").write_bytes(b"[load]\nhandheld_mass_kg = 0.3\n# \xff\n")
     Path("a").write_text("not a directory\n")
+    Path("cfg").mkdir()
+    Path("cfg/missing.ini").write_text("[springs]\ncatalog_path = ./nowhere.csv\n")
+    Path("cfg/t.ini").write_text("[springs]\ncatalog_path = ./s.csv\n")
+    Path("cfg/s.csv").write_text("name,stiffness_Nmm_per_deg\nA,bad\n")
     assert run(argv) == code
     assert capsys.readouterr() == ("", message + "\n")
-    assert sorted(os.listdir()) == ["a", "bad.ini", "bad2.ini", "ok.csv", "outdir"]
+    assert sorted(os.listdir()) == ["a", "bad.ini", "bad2.ini", "cfg", "ok.csv", "outdir"]
+    assert sorted(os.listdir("cfg")) == ["missing.ini", "s.csv", "t.ini"]
     assert os.listdir("outdir") == []
 
 

@@ -210,11 +210,16 @@ def test_rejected_table_covers_every_key_but_the_catalog_path():
 def test_rejected_value_is_one_line_naming_its_key(tmp_path, capsys, section, key, value, must):
     path = tmp_path / "toolkit.ini"
     extra = "body_mass_kg = 70\n" if key in _WITH_BODY_MASS else ""
-    path.write_text(f"[{section}]\n{extra}{key} = {value}\n")
+    # also named first when another section breaks a rule between keys: sex without a
+    # body mass, or an empty analysis window
+    between = ("[analysis]\nangle_min_deg = 50\n" if section == "segments"
+               else "[segments]\nsex = male\n")
     out = tmp_path / "curves"
-    assert main(["--config", str(path), "simulate", "--posture", "all", "--out", str(out)]) == 3
-    assert capsys.readouterr() == ("", f"config error: [{section}] {key} must {must}\n")
-    assert not out.exists()
+    for other in ("", between):
+        path.write_text(f"[{section}]\n{extra}{key} = {value}\n{other}")
+        assert main(["--config", str(path), "simulate", "--posture", "all", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"config error: [{section}] {key} must {must}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, must", [
@@ -226,14 +231,29 @@ def test_rejected_value_is_one_line_naming_its_key(tmp_path, capsys, section, ke
     ("hand_mass_kg = -5\nbody_mass_kg = 80\nsex = male\n", "hand_mass_kg must be >= 0, got -5.0"),
     ("body_mass_kg = 70\nhand_mass_fraction = 0.006\nsex = robot\n",
      "sex must be one of ['female', 'male'], got 'robot'"),
+    ("body_mass_kg = 80\nsex = male\nhand_mass_kg = 3\n",
+     "hand_mass_kg and body_mass_kg both set the hand mass; set one"),
+    ("body_mass_kg = 70\nsex = male\nhand_mass_fraction = 0.006\n",
+     "sex and hand_mass_fraction both set the hand mass fraction; set one"),
 ], ids=["bad-sex-alone", "sex-alone", "fraction-alone", "bad-fraction-alone",
-        "negative-hand-mass-with-body-mass", "bad-sex-with-fraction"])
+        "negative-hand-mass-with-body-mass", "bad-sex-with-fraction",
+        "hand-mass-with-body-mass", "sex-with-fraction"])
 def test_segment_keys_keep_their_rule_whatever_else_is_set(tmp_path, capsys, text, must):
     path = tmp_path / "toolkit.ini"
     path.write_text(f"[segments]\n{text}")
     out = tmp_path / "c.csv"
     assert main(["--config", str(path), "simulate", "--posture", "P1", "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", f"config error: [segments] {must}\n")
+    assert not out.exists()
+
+
+def test_a_key_rule_is_reported_before_a_rule_between_keys(tmp_path, capsys):
+    path = tmp_path / "toolkit.ini"
+    path.write_text("[segments]\nsex = male\n[analysis]\nangle_min_deg = nan\n")
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(path), "simulate", "--posture", "P1", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "config error: [analysis] angle_min_deg must lie in "
+                                       "[-180, 180], got nan\n")
     assert not out.exists()
 
 

@@ -168,7 +168,7 @@ def test_cli_config(work, data):
 
 
 # The design path on configs that load: each key but the catalog path, set to a value
-# its rule admits (``config._build``), up to +-1e308.  Any key not listed here is held
+# its rule in ``config.DEFAULTS`` admits, up to +-1e308.  Any key not listed here is held
 # only to be finite.
 _ANY = st.floats(-1e308, 1e308)
 _AT_LEAST_0 = st.floats(0.0, 1e308)
@@ -180,7 +180,8 @@ _RULES = {
     "gravity_m_s2": _ABOVE_0, "amplitude_deg": _AT_LEAST_0,
     "handheld_mass_kg": _AT_LEAST_0, "grip_offset_m": _AT_LEAST_0, "gear_ratio": _ABOVE_0,
     "efficiency": st.floats(0.0, 1.0, exclude_min=True), "torque_constant_nm_per_a": _ABOVE_0,
-    "pre_wind_rad": _AT_LEAST_0, "max_interpolated_fraction": st.floats(0.0, 1.0),
+    "pre_wind_rad": _AT_LEAST_0, "angle_min_deg": st.floats(-180.0, 180.0),
+    "angle_max_deg": st.floats(-180.0, 180.0), "max_interpolated_fraction": st.floats(0.0, 1.0),
 }
 DESIGN_KEYS = [(section, key) for section, keys in DEFAULTS.items()
                for key in keys if key != "catalog_path"]
@@ -192,14 +193,23 @@ SAMPLES = st.integers(-len(_TOO_MANY), 60).map(lambda n: _TOO_MANY[n] if n < 0 e
 @st.composite
 def _design_config(draw) -> bytes:
     chosen = draw(st.lists(st.sampled_from(DESIGN_KEYS), unique=True, max_size=8))
-    if ("segments", "body_mass_kg") in chosen:  # loads only with a sex or a fraction
-        chosen.append(("segments", "sex"))
+    derive = [("segments", key) for key in ("body_mass_kg", "sex", "hand_mass_fraction")]
+    if set(derive) & set(chosen):  # the body mass and one of sex or fraction, no hand mass
+        by = draw(st.sampled_from(derive[1:]))
+        chosen = [c for c in chosen if c not in (*derive, ("segments", "hand_mass_kg"))]
+        chosen += [derive[0], by]
     lines = []
     for section in DEFAULTS:
         keys = [key for sec, key in DESIGN_KEYS if (sec, key) in chosen and sec == section]
         lines += [f"[{section}]"] * bool(keys)
         lines += [f"{key} = {draw(_RULES.get(key, _ANY))}" for key in keys]
     return "\n".join(lines).encode()
+
+
+def test_design_fuzz_draws_every_key_held_to_more_than_finite():
+    ruled = {key for keys in DEFAULTS.values() for key, (_, rule) in keys.items()
+             if rule not in ("finite", None)}
+    assert ruled == set(_RULES)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

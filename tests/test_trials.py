@@ -462,6 +462,41 @@ def test_five_number_matches_numpy_percentile(data):
     assert got["n"] == len(values)
 
 
+# magnitudes of 1e-6 to 1e6 of either sign, or Likert scores; drawn from a pool, so ties
+_STAT_VALUE = st.one_of(
+    st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)),
+              st.floats(min_value=1e-6, max_value=1e6)),
+    st.integers(1, 7))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mean_sd_matches_the_unscaled_numpy_formula(data):
+    """Scaling by one power of two is exact, so the mean and SD are numpy's on the
+    sorted values, bit for bit."""
+    pool = data.draw(st.lists(_STAT_VALUE, min_size=1, max_size=300))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    want, got = oracles.mean_sd(values), trials._mean_sd(values)
+    assert (got["mean"].hex(), got["sd"].hex(), got["n"]) == (
+        want["mean"].hex(), want["sd"].hex(), want["n"])
+    assert trials._mean(values).hex() == want["mean"].hex()
+
+
+def test_study_statistics_stay_finite_near_the_float_limit():
+    got = trials._mean_sd([1.5e308] * 6 + [1e300] * 6)
+    assert (got["mean"], got["n"]) == (7.50000005e+307, 12)
+    assert got["sd"] == pytest.approx(7.83e+307, rel=1e-3)
+    # 12 trials whose repeat pairs each differ by about 1.5e308: their sum would overflow
+    metrics = [make_metrics(total, meta=meta_for(participant, spring=spring, trial=trial))
+               for participant in "AB" for spring in ("S1", "S2")
+               for trial, total in ((1, 1.5e308), (2, 1e300), (3, 1.5e308))]
+    report = aggregate_report(metrics, GEAR)
+    for spring in ("S1", "S2"):
+        assert report["repeatability"][spring]["overall"] == {
+            "mean": 1.5e308 - 1e300, "sd": 0.0, "n": 4}
+    assert report["friedman"]["rom_total_deg"] == {"chi2": 0.0, "p": 1.0, "df": 1}
+
+
 def test_aggregate_single_trial_has_no_friedman():
     metrics = [make_metrics(40.0, meta=meta_for())]
     with pytest.warns(UserWarning, match="omitted"):
