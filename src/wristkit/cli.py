@@ -129,7 +129,7 @@ def cmd_simulate(cfg, args) -> int:
 def cmd_fit(cfg, args) -> int:
     curves = {path: fileio.read_torque_curve(path, Path(path).stem) for path in args.curves}
     worst = springs.worst_case_select(curves.values())
-    catalog = fileio.read_spring_catalog(args.catalog) if args.catalog else cfg.catalog
+    catalog = cfg.catalog if args.catalog is None else fileio.read_spring_catalog(args.catalog)
     path = next(p for p, c in curves.items() if c is worst)
     try:  # no spring from the worst-case curve, or a warning made an error: that file's error
         with warnings.catch_warnings(record=True) as caught:  # warned again below, naming the file
@@ -168,7 +168,7 @@ def cmd_fit(cfg, args) -> int:
     if spring.pre_wind is not None:
         design["spring"]["pre_wind_rad"] = spring.pre_wind
         design["spring"]["pretension_torque_nm"] = pretension_torque(spring)
-    if args.out:
+    if args.out is not None:
         fileio.write_report(args.out, design)
         print(f"design report -> {args.out}")
     else:
@@ -209,7 +209,7 @@ def cmd_analyze(cfg, args) -> int:
 
     report = trials.aggregate_report(metrics, cfg.gearing, rejected, likert)
     fileio.write_report(args.out, report)
-    plots_dir = args.plots_dir or Path(args.out).parent
+    plots_dir = Path(args.out).parent if args.plots_dir is None else args.plots_dir
     written = fileio.write_plot_csvs(report, plots_dir)
     print(f"{len(metrics)} trials analyzed, {len(rejected)} rejected "
           f"-> {args.out} + {len(written)} plot CSVs in {plots_dir}")
@@ -218,7 +218,7 @@ def cmd_analyze(cfg, args) -> int:
 
 def cmd_report(cfg, args) -> int:
     report = fileio.read_report(args.report)
-    plots_dir = args.plots_dir or Path(args.report).parent
+    plots_dir = Path(args.report).parent if args.plots_dir is None else args.plots_dir
     written = fileio.write_plot_csvs(report, plots_dir)
     print(f"re-rendered {len(written)} plot CSVs in {plots_dir}")
     return 0

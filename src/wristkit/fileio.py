@@ -14,6 +14,8 @@ Formats (all plain text, diff-friendly):
 Parse failures raise :class:`DataError` naming the file and line.
 """
 
+from __future__ import annotations  # trial names are read from ``trials`` when first used
+
 import csv
 import errno
 import json
@@ -28,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trials
 from .biomech import TorqueCurve
 from .errors import DataError, DomainError
 from .springs import SpringCatalogEntry
-from .trials import BUTTONS, LikertResponse, TrialLog, TrialMeta, TrialRecords
 
 TRIAL_NAME_RE = re.compile(
     r"^P(?P<participant>[^_]+)_POS(?P<posture>\d+)_(?P<load>.+)_"
@@ -44,7 +46,7 @@ _LIKERT_HEADER = ["participant", "item", "score"]
 _NOT_PLAIN = '"\r\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
-_ARRAYS = (list, tuple, TrialRecords)  # rendered as JSON arrays
+_SCALARS = (str, int, float, type(None))  # rendered by _json whole; any other child is walked
 _CSV_CHUNK = 512  # CSV lines per write: as fast as one join, without a whole-file copy
 
 
@@ -211,7 +213,7 @@ def read_spring_catalog(path) -> tuple:
 # trial logs
 # ---------------------------------------------------------------------------
 
-def parse_trial_filename(name: str) -> TrialMeta | None:
+def parse_trial_filename(name: str) -> trials.TrialMeta | None:
     """Extract the experimental condition from a trial file name.
 
     Returns None for file names not following the convention; callers
@@ -222,10 +224,10 @@ def parse_trial_filename(name: str) -> TrialMeta | None:
     if match is None:
         return None
     try:
-        return TrialMeta(sys.intern("P" + match["participant"]),
-                         sys.intern("POS" + str(int(match["posture"]))),
-                         sys.intern(match["load"]), sys.intern(match["spring"]),
-                         int(match["trial"]))
+        return trials.TrialMeta(sys.intern("P" + match["participant"]),
+                                sys.intern("POS" + str(int(match["posture"]))),
+                                sys.intern(match["load"]), sys.intern(match["spring"]),
+                                int(match["trial"]))
     except DomainError:
         return None
 
@@ -234,22 +236,22 @@ def _trial_sample(cells) -> tuple:
     t, angle, current, button = cells
     sample = (_number("t_s", t), _number("angle_deg", angle, math.nan),
               _number("current_mA", current, math.nan), button)
-    if button not in BUTTONS:
+    if button not in trials.BUTTONS:
         raise ValueError(f"unknown button {button!r}")
     return sample
 
 
-def read_trial_log(path, meta: TrialMeta | None = None) -> TrialLog:
+def read_trial_log(path, meta: trials.TrialMeta | None = None) -> trials.TrialLog:
     """Read a trial log; empty angle/current cells become NaN (missing)."""
     def log(time, angle, current, button):
         if not button:
             raise DomainError("trial log has no samples")
-        return TrialLog(time, angle, current, button, meta)
+        return trials.TrialLog(time, angle, current, button, meta)
     return _read_columns(path, _TRIAL_HEADER, [("t", float), ("angle", float), ("current", float),
                          ("button", "U3")], _trial_sample, log)  # U3: a longer label is unknown
 
 
-def write_trial_log(path, log: TrialLog) -> None:
+def write_trial_log(path, log: trials.TrialLog) -> None:
     def cell(value):  # a finite value reads back bit for bit; any other is blank
         return repr(float(value)) if math.isfinite(value) else ""
     _write_csv(path, _TRIAL_HEADER,
@@ -269,7 +271,7 @@ def read_likert_responses(path) -> tuple:
             value = int(score)
         except ValueError:
             raise ValueError(f"score is not an integer: {score!r}") from None
-        return LikertResponse(participant, item, value)
+        return trials.LikertResponse(participant, item, value)
     return _table(path, _LIKERT_HEADER, response, "no responses")
 
 
@@ -293,20 +295,20 @@ def _json(value, indent: str) -> str:
 
 
 def _pieces(value, indent="\n", depth=2):
-    """``_json(value, indent)`` of a dict or an ``_ARRAYS`` sequence (walked, not copied) in
-    pieces, one per member of its first ``depth`` levels; any other value, or a key that is
-    not a str, is a ``TypeError``."""
+    """``_json(value, indent)`` of a dict, list, tuple or ``trials.TrialRecords`` (walked, not
+    copied) in pieces, one per member of its first ``depth`` levels; any other value, or a key
+    that is not a str, is a ``TypeError``."""
     if isinstance(value, dict):
         brackets, members = "{}", [(encode_basestring_ascii(key) + ": ", value[key])
                                    for key in sorted(value)]
-    elif isinstance(value, _ARRAYS):
+    elif isinstance(value, (list, tuple)) or isinstance(value, trials.TrialRecords):
         brackets, members = "[]", (("", child) for child in value)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     inner = indent + "  "
     for n, (prefix, child) in enumerate(members):
         yield ("," if n else brackets[0]) + inner + prefix
-        deeper = depth > 1 and isinstance(child, (dict, *_ARRAYS))
+        deeper = depth > 1 and not isinstance(child, _SCALARS)
         yield from _pieces(child, inner, depth - 1) if deeper else (_json(child, inner),)
     yield indent + brackets[1] if len(value) else brackets
 

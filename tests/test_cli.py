@@ -626,6 +626,82 @@ def test_analyze_does_not_import_numpy_ma(tmp_path, corpus_dir):
     assert (rc, imported) == ("0", "False"), done.stderr
 
 
+# Ends a CLI call with its exit code and, for wristkit.trials and wristkit.stats, whether
+# the module's code ran.  type(), not an attribute: any attribute of a lazy module runs it.
+_RAN_TRIALS = ("import sys, types\n"
+               "from wristkit.cli import main\n"
+               "try:\n"
+               "    rc = main(sys.argv[1:])\n"
+               "except SystemExit as exc:\n"
+               "    rc = exc.code\n"
+               "print(rc, *(type(sys.modules[f'wristkit.{name}']) is types.ModuleType\n"
+               "            for name in ('trials', 'stats')))\n")
+
+
+@pytest.fixture(scope="module")
+def design_files(tmp_path_factory, corpus_dir):
+    """Preset curves and a study report, made in process, for the calls below to read."""
+    path = tmp_path_factory.mktemp("design")
+    assert main(["simulate", "--posture", "all", "--out", str(path / "curves")]) == 0
+    assert main(["analyze", str(corpus_dir), "--out", str(path / "report.json")]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["simulate", "--posture", "all", "--out", "{tmp}/curves"], "0 False False"),
+    (["fit", "{design}/curves/P1.csv", "{design}/curves/P2.csv", "{design}/curves/P3.csv",
+      "--out", "{tmp}/design.json"], "0 False False"),
+    (["fit", "{design}/curves/P1.csv", "{design}/curves/P2.csv", "{design}/curves/P3.csv"],
+     "0 False False"),
+    (["report", "{design}/report.json", "--plots-dir", "{tmp}/plots"], "0 False False"),
+    (["simulate"], "1 False False"),
+    (["--help"], "0 False False"),
+    (["analyze", "{corpus}", "--out", "{tmp}/report.json"], "0 True True"),  # the control
+], ids=["simulate", "fit-to-file", "fit-to-stdout", "report", "usage-error", "help", "analyze"])
+def test_only_analyze_runs_the_trial_analysis_code(tmp_path, design_files, corpus_dir, argv,
+                                                   ran):
+    argv = [a.format(tmp=tmp_path, design=design_files, corpus=corpus_dir) for a in argv]
+    done = _python(["-c", _RAN_TRIALS, *argv])
+    assert done.stdout.splitlines()[-1] == ran, done.stderr
+
+
+def test_an_empty_out_path_is_an_output_path(tmp_path, capsys, monkeypatch, corpus_dir):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--posture", "P3", "--out", "P3.csv"]) == 0
+    capsys.readouterr()
+    ends = {}
+    for argv in (["simulate", "--posture", "P3", "--out", ""], ["fit", "P3.csv", "--out", ""],
+                 ["analyze", str(corpus_dir), "--out", ""]):
+        ends[argv[0]] = run(argv), capsys.readouterr()
+    assert set(ends.values()) == {(2, ("", "i/o error: [Errno 21] Is a directory: ''\n"))}
+    assert os.listdir() == ["P3.csv"]
+
+
+def test_an_empty_plots_dir_is_the_working_directory(tmp_path, capsys, monkeypatch, corpus_dir):
+    here, report = tmp_path / "here", tmp_path / "out" / "report.json"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    plots = ["repeatability.csv", "rom_boxplot.csv", "torque_boxplot.csv"]
+    assert run(["analyze", str(corpus_dir), "--out", str(report), "--plots-dir", ""]) == 0
+    assert capsys.readouterr().out.endswith(" + 3 plot CSVs in \n")
+    assert sorted(os.listdir()) == plots
+    assert os.listdir(report.parent) == ["report.json"]
+    for name in plots:
+        os.remove(name)
+    assert run(["report", str(report), "--plots-dir", ""]) == 0
+    assert capsys.readouterr().out == "re-rendered 3 plot CSVs in \n"
+    assert sorted(os.listdir()) == plots
+    assert os.listdir(report.parent) == ["report.json"]
+
+
+def test_an_empty_catalog_path_is_read(tmp_path, capsys):
+    curve = tmp_path / "P3.csv"
+    assert run(["simulate", "--posture", "P3", "--out", str(curve)]) == 0
+    capsys.readouterr()
+    assert run(["fit", str(curve), "--catalog", ""]) == 2
+    assert capsys.readouterr() == ("", "data error: : No such file or directory\n")
+
+
 def test_retired_config_keys_change_no_output(tmp_path, capsys, corpus_dir, retired_config):
     path, expected = retired_config
     outputs = {}
