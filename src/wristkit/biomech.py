@@ -246,7 +246,10 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     so the first and last samples sit exactly at the cycle extremes.
     """
     n_samples = check_real("n_samples", n_samples, ">= 2", integer=True)
-    angles = np.linspace(*motion.angle_range(), n_samples)
+    lo, hi = motion.angle_range()
+    if not lo < hi:
+        raise DomainError(f"motion amplitude {motion.amplitude!r} rad: no angle range to sweep")
+    angles = np.linspace(lo, hi, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # TorqueCurve rejects what overflows
         moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)

@@ -178,7 +178,7 @@ def cmd_fit(cfg, args) -> int:
 
 def cmd_analyze(cfg, args) -> int:
     if not os.path.isdir(args.trial_dir):
-        raise DataError(f"not a directory: {args.trial_dir}")
+        raise DataError(f"not a directory: {fileio.path_name(args.trial_dir)}")
     metrics, rejected, likert = [], [], ()
     first_file = {}  # trial meta -> the first file name that parsed to it
     for name in sorted(os.listdir(args.trial_dir)):  # names, not a path per file held at once
@@ -212,7 +212,7 @@ def cmd_analyze(cfg, args) -> int:
     plots_dir = Path(args.out).parent if args.plots_dir is None else args.plots_dir
     written = fileio.write_plot_csvs(report, plots_dir)
     print(f"{len(metrics)} trials analyzed, {len(rejected)} rejected "
-          f"-> {args.out} + {len(written)} plot CSVs in {plots_dir}")
+          f"-> {args.out} + {len(written)} plot CSVs in {fileio.path_name(plots_dir)}")
     return 0
 
 
@@ -220,7 +220,7 @@ def cmd_report(cfg, args) -> int:
     report = fileio.read_report(args.report)
     plots_dir = Path(args.report).parent if args.plots_dir is None else args.plots_dir
     written = fileio.write_plot_csvs(report, plots_dir)
-    print(f"re-rendered {len(written)} plot CSVs in {plots_dir}")
+    print(f"re-rendered {len(written)} plot CSVs in {fileio.path_name(plots_dir)}")
     return 0
 
 

@@ -108,7 +108,7 @@ def _read_ini(path) -> dict:
     user = configparser.ConfigParser(interpolation=None)
     if path is not None:
         if not os.path.isfile(path):
-            raise ConfigError(f"config file not found: {path}")
+            raise ConfigError(f"config file not found: {fileio.path_name(path)}")
         try:  # decoded as every CSV is, so a bad byte is named by its line
             user.read_string(fileio._read_text(path), str(path))
         except DataError as exc:

@@ -50,6 +50,11 @@ _SCALARS = (str, int, float, type(None))  # rendered by _json whole; any other c
 _CSV_CHUNK = 512  # CSV lines per write: as fast as one join, without a whole-file copy
 
 
+def path_name(path) -> str:
+    """``path`` as a message names it: as written, an empty one ``''`` as ``OSError`` does."""
+    return str(path) or "''"
+
+
 def _read_text(path) -> str:
     """The UTF-8 text of ``path``, a leading byte-order mark dropped; an unreadable or
     undecodable file is a :class:`DataError` naming the file (and the line of a bad byte)."""
@@ -57,7 +62,7 @@ def _read_text(path) -> str:
         with open(path, encoding="utf-8") as handle:  # "utf-8-sig" reads a cut-off mark as ""
             return handle.read().removeprefix("\ufeff")
     except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+        raise DataError(f"{path_name(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
@@ -243,12 +248,9 @@ def _trial_sample(cells) -> tuple:
 
 def read_trial_log(path, meta: trials.TrialMeta | None = None) -> trials.TrialLog:
     """Read a trial log; empty angle/current cells become NaN (missing)."""
-    def log(time, angle, current, button):
-        if not button:
-            raise DomainError("trial log has no samples")
-        return trials.TrialLog(time, angle, current, button, meta)
     return _read_columns(path, _TRIAL_HEADER, [("t", float), ("angle", float), ("current", float),
-                         ("button", "U3")], _trial_sample, log)  # U3: a longer label is unknown
+                         ("button", "U3")], _trial_sample,  # U3: a longer label is unknown
+                         lambda *columns: trials.TrialLog(*columns, meta))
 
 
 def write_trial_log(path, log: trials.TrialLog) -> None:

@@ -79,10 +79,11 @@ class TrialLog:
         object.__setattr__(self, "current_ma", current)
         object.__setattr__(self, "button", tuple(self.button))
         n = time.size
-        if time.ndim != 1 or n == 0:
-            raise DomainError("trial log must contain at least one sample")
-        if angle.shape != time.shape or current.shape != time.shape or len(self.button) != n:
-            raise DomainError("trial log channels must have equal length")
+        if n == 0:
+            raise DomainError("trial log has no samples")
+        if (time.ndim != 1 or angle.shape != time.shape or current.shape != time.shape
+                or len(self.button) != n):
+            raise DomainError("trial log channels must be 1-d arrays of equal length")
         if not np.isfinite(time).all():
             raise DomainError("timestamps must be finite")
         if not (time[1:] > time[:-1]).all():  # np.diff would overflow at ±1e308
@@ -375,16 +376,6 @@ _OUTCOMES = (("rom_total_deg", operator.attrgetter("rom_total")),
              ("tau_rms_nm", operator.attrgetter("tau_rms")))
 
 
-def _friedman_matrix(cells, participants, springs, value_of):
-    """``(participant x spring matrix of per-cell means, None)``, or ``(None, reason)``
-    naming the first missing cell; ``cells`` maps (participant, spring) to trials."""
-    for p in participants:
-        for s in springs:
-            if (p, s) not in cells:
-                return None, f"participant {p!r} has no {s!r} trials"
-    return [[_mean(map(value_of, cells[p, s])) for s in springs] for p in participants], None
-
-
 class TrialRecords:
     """The report's per-trial records in the order of ``metrics``, each built on access:
     a read-only sequence, so no list of them is held (``list(records)`` makes one)."""
@@ -449,27 +440,28 @@ def aggregate_report(metrics, gear: Gearing, rejected=(), likert_responses=()) -
         cells.setdefault((participant, spring), []).extend(group)
         group.sort(key=lambda m: m.meta.trial_index)
         if len(group) > 1:
-            by_posture, overall = deltas.setdefault(spring, ({}, []))
-            pairs = list(map(repeatability, group, group[1:]))
-            by_posture.setdefault(posture, []).extend(pairs)
-            overall.extend(pairs)
+            deltas.setdefault(spring, {}).setdefault(posture, []).extend(
+                map(repeatability, group, group[1:]))
     repeat = {}
-    for s in sorted(deltas):
-        by_posture, overall = deltas[s]
+    for s, by_posture in sorted(deltas.items()):
         repeat[s] = {posture: _mean_sd(by_posture[posture]) for posture in sorted(by_posture)}
-        repeat[s]["overall"] = _mean_sd(overall)
+        repeat[s]["overall"] = _mean_sd([d for pairs in by_posture.values() for d in pairs])
     report["repeatability"] = repeat
 
+    # the Friedman test needs every (participant, spring) cell: one reason omits both outcomes
     participants = sorted({participant for participant, _ in cells})
+    omitted = next((f"participant {p!r} has no {s!r} trials"
+                    for p in participants for s in springs if (p, s) not in cells), None)
+    if omitted is None and min(len(participants), len(springs)) < 2:
+        omitted = "need at least 2 participants and 2 springs"
     friedman = {}
     for key, value_of in _OUTCOMES:
-        matrix, reason = _friedman_matrix(cells, participants, springs, value_of)
-        if matrix is None or len(matrix) < 2 or len(matrix[0]) < 2:
-            reason = reason or "need at least 2 participants and 2 springs"
-            warnings.warn(f"friedman test on {key} omitted: {reason}", stacklevel=2)
-            friedman[key] = {"omitted": reason}
+        if omitted is not None:
+            warnings.warn(f"friedman test on {key} omitted: {omitted}", stacklevel=2)
+            friedman[key] = {"omitted": omitted}
             continue
-        result = friedman_test(matrix)
+        result = friedman_test([[_mean(map(value_of, cells[p, s])) for s in springs]
+                                for p in participants])
         friedman[key] = {"chi2": result.chi2, "p": result.p_value, "df": result.df}
     report["friedman"] = friedman
 

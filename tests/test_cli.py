@@ -218,8 +218,14 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
      "config error: [springs] catalog_path not found: ./cfg/./nowhere.csv"),
     (["--config", "./cfg/t.ini", "simulate", "--out", "./c.csv"], 3,
      "config error: ./cfg/./s.csv:2: stiffness_Nmm_per_deg is not a number: 'bad'"),
+    # an empty path is named '', as OSError names it
+    (["--config", "", "simulate", "--out", "./c.csv"], 3,
+     "config error: config file not found: ''"),
+    (["analyze", ""], 2, "data error: not a directory: ''"),
+    (["report", ""], 2, "data error: '': No such file or directory"),
 ], ids=["output-path", "config-file", "trial-dir", "config-byte", "parent-is-a-file",
-        "ancestor-is-a-file", "out-dir-is-a-file", "catalog-missing", "catalog-bad-row"])
+        "ancestor-is-a-file", "out-dir-is-a-file", "catalog-missing", "catalog-bad-row",
+        "empty-config", "empty-trial-dir", "empty-report"])
 def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
                                                 message):
     monkeypatch.chdir(tmp_path)
@@ -683,13 +689,13 @@ def test_an_empty_plots_dir_is_the_working_directory(tmp_path, capsys, monkeypat
     monkeypatch.chdir(here)
     plots = ["repeatability.csv", "rom_boxplot.csv", "torque_boxplot.csv"]
     assert run(["analyze", str(corpus_dir), "--out", str(report), "--plots-dir", ""]) == 0
-    assert capsys.readouterr().out.endswith(" + 3 plot CSVs in \n")
+    assert capsys.readouterr().out.endswith(" + 3 plot CSVs in ''\n")
     assert sorted(os.listdir()) == plots
     assert os.listdir(report.parent) == ["report.json"]
     for name in plots:
         os.remove(name)
     assert run(["report", str(report), "--plots-dir", ""]) == 0
-    assert capsys.readouterr().out == "re-rendered 3 plot CSVs in \n"
+    assert capsys.readouterr().out == "re-rendered 3 plot CSVs in ''\n"
     assert sorted(os.listdir()) == plots
     assert os.listdir(report.parent) == ["report.json"]
 
@@ -699,7 +705,17 @@ def test_an_empty_catalog_path_is_read(tmp_path, capsys):
     assert run(["simulate", "--posture", "P3", "--out", str(curve)]) == 0
     capsys.readouterr()
     assert run(["fit", str(curve), "--catalog", ""]) == 2
-    assert capsys.readouterr() == ("", "data error: : No such file or directory\n")
+    assert capsys.readouterr() == ("", "data error: '': No such file or directory\n")
+
+
+def test_a_zero_amplitude_simulate_names_the_motion_amplitude(tmp_path, capsys):
+    config = tmp_path / "toolkit.ini"
+    config.write_text("[motion]\namplitude_deg = 0\n")
+    out = tmp_path / "P1.csv"
+    assert run(["--config", str(config), "simulate", "--posture", "P1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "data error: P1: motion amplitude 0.0 rad: no angle range to sweep\n")
+    assert not out.exists()
 
 
 def test_retired_config_keys_change_no_output(tmp_path, capsys, corpus_dir, retired_config):

@@ -56,6 +56,19 @@ def test_log_validation():
         TrialLog(np.array([]), np.array([]), np.array([]), [])
 
 
+@pytest.mark.parametrize("columns, message", [
+    (([], [], [], []), "trial log has no samples"),
+    ((np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), ["", ""] * 2),
+     "trial log channels must be 1-d arrays of equal length"),
+    (([0.0, 0.1], [0.0], [0.0, 0.0], ["", ""]),
+     "trial log channels must be 1-d arrays of equal length")],
+    ids=["empty", "2-d", "unequal"])
+def test_a_log_that_is_not_one_sample_per_row_is_refused(columns, message):
+    with pytest.raises(DomainError) as info:
+        TrialLog(*columns)
+    assert str(info.value) == message
+
+
 def test_unknown_button_message_names_the_first_in_sample_order():
     with pytest.raises(DomainError) as info:
         TrialLog(np.arange(4) * 0.01, np.zeros(4), np.zeros(4), ["", "B9", "B2", "B7"])
@@ -497,23 +510,38 @@ def test_study_statistics_stay_finite_near_the_float_limit():
     assert report["friedman"]["rom_total_deg"] == {"chi2": 0.0, "p": 1.0, "df": 1}
 
 
+def _omitted_friedman(metrics, reason):
+    """The report of ``metrics`` after checking that both Friedman tests are omitted for
+    ``reason``, each with one warning, in the order of the report's outcomes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = aggregate_report(metrics, GEAR)
+    outcomes = ["rom_total_deg", "tau_rms_nm"]
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, f"friedman test on {key} omitted: {reason}") for key in outcomes]
+    assert report["friedman"] == {key: {"omitted": reason} for key in outcomes}
+    return report
+
+
 def test_aggregate_single_trial_has_no_friedman():
     metrics = [make_metrics(40.0, meta=meta_for())]
-    with pytest.warns(UserWarning, match="omitted"):
-        report = aggregate_report(metrics, GEAR)
+    report = _omitted_friedman(metrics, "need at least 2 participants and 2 springs")
     assert report["n_trials"] == 1
-    assert "omitted" in report["friedman"]["rom_total_deg"]
     assert report["rom_total_deg"]["S1"]["n"] == 1
     assert "likert" not in report
+
+
+def test_aggregate_one_spring_has_no_friedman():
+    metrics = [m for m in _complete_design() if m.meta.spring == "S1"]
+    report = _omitted_friedman(metrics, "need at least 2 participants and 2 springs")
+    assert sorted(report["rom_total_deg"]) == ["S1"]
 
 
 def test_aggregate_incomplete_design_omits_friedman():
     metrics = _complete_design()
     metrics = [m for m in metrics if not (m.meta.participant == "B"
                                           and m.meta.spring == "S2")]
-    with pytest.warns(UserWarning, match="omitted"):
-        report = aggregate_report(metrics, GEAR)
-    assert "omitted" in report["friedman"]["rom_total_deg"]
+    _omitted_friedman(metrics, "participant 'B' has no 'S2' trials")
 
 
 def test_aggregate_requires_meta():
