@@ -45,11 +45,10 @@ are abduction-positive reaction torques: positive values mean the joint
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_fields, check_real
+from .errors import ConfigError, DomainError, Record, check_fields, check_real
 
 GRAVITY = 9.81  # m/s^2
 
@@ -64,8 +63,7 @@ _MAX_HAND_FRACTION = 0.05
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BodySegment:
+class BodySegment(Record):
     """A rigid segment with a point-mass center of mass on its long axis."""
 
     name: str
@@ -77,8 +75,7 @@ class BodySegment:
         check_fields(self, f"segment {self.name!r}: ", mass=">= 0", length="> 0", com_ratio="[0, 1]")
 
 
-@dataclass(frozen=True)
-class ArmPosture:
+class ArmPosture(Record):
     """Proximal joint angles (rad) that pose the chain."""
 
     shoulder_flexion: float
@@ -91,8 +88,7 @@ class ArmPosture:
                      elbow_flexion="finite", forearm_pronation="finite")
 
 
-@dataclass(frozen=True)
-class LoadSpec:
+class LoadSpec(Record):
     """A handheld point load gripped at a distance along the hand axis."""
 
     handheld_mass: float  # kg
@@ -102,8 +98,7 @@ class LoadSpec:
         check_fields(self, handheld_mass=">= 0", grip_offset=">= 0")
 
 
-@dataclass(frozen=True)
-class MotionProfile:
+class MotionProfile(Record):
     """Cyclic wrist angle trajectory, theta = mean + amplitude * sin(phase)."""
 
     mean_angle: float   # rad
@@ -117,8 +112,7 @@ class MotionProfile:
         return (self.mean_angle - self.amplitude, self.mean_angle + self.amplitude)
 
 
-@dataclass(frozen=True)
-class KinematicConvention:
+class KinematicConvention(Record):
     """Fixed anatomical offsets closing the chain model (see module doc)."""
 
     axis_obliquity: float = math.radians(50.0)   # rad
@@ -132,8 +126,7 @@ class KinematicConvention:
 DEFAULT_CONVENTION = KinematicConvention()
 
 
-@dataclass(frozen=True)
-class TorqueCurve:
+class TorqueCurve(Record):
     """Reaction moment sampled against wrist angle, strictly angle-ordered."""
 
     angles: np.ndarray   # rad, strictly increasing
@@ -250,6 +243,9 @@ def sweep_torque_curve(segments: dict, posture: ArmPosture, motion: MotionProfil
     if not lo < hi:
         raise DomainError(f"motion amplitude {motion.amplitude!r} rad: no angle range to sweep")
     angles = np.linspace(lo, hi, n_samples)
+    if not (angles[1:] > angles[:-1]).all() and math.isfinite(hi - lo):  # rounding ties them
+        raise DomainError(f"motion amplitude {motion.amplitude!r} rad: "
+                          f"too narrow for {n_samples} distinct angles")
     with np.errstate(over="ignore", invalid="ignore"):  # TorqueCurve rejects what overflows
         moments = wrist_reaction_moment(segments, posture, angles, load, g, convention)
     return TorqueCurve(angles, moments, posture.label)

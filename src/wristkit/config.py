@@ -16,11 +16,10 @@ import configparser
 import math
 import os
 import warnings
-from dataclasses import dataclass
 
 from .biomech import (HAND_MASS_FRACTION, ArmPosture, BodySegment, KinematicConvention,
                       LoadSpec, MotionProfile, hand_mass_from_body)
-from .errors import ConfigError, DataError, DomainError, check_real
+from .errors import ConfigError, DataError, DomainError, Record, check_real
 from .springs import DEFAULT_CATALOG
 from .transmission import Gearing
 from . import fileio
@@ -83,8 +82,7 @@ _RETIRED = {
 _ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ToolkitConfig:
+class ToolkitConfig(Record):
     """Everything the pipeline needs, validated and in SI units."""
 
     segments: dict

@@ -2,11 +2,13 @@
 
 The CLI maps these onto its exit-code contract: usage problems exit 1,
 data problems exit 2, configuration problems exit 3.  :func:`check_real`
-states once what a valid scalar input is and how its rejection is worded.
+states once what a valid scalar input is and how its rejection is worded,
+and :class:`Record` is the base of every value type the checks serve.
 """
 
 import math
 import numbers
+import operator
 
 
 class DomainError(ValueError):
@@ -66,7 +68,80 @@ def check_real(name: str, value, rule: str = "finite", integer: bool = False):
 
 
 def check_fields(obj, prefix: str = "", **rules):
-    """Pass each named field of the frozen dataclass ``obj`` through :func:`check_real`
-    as ``prefix + field`` and store the number it returns."""
+    """Pass each named field of the :class:`Record` ``obj`` through :func:`check_real` as
+    ``prefix + field`` and store the number it returns (from ``__post_init__``)."""
     for field, rule in rules.items():
         object.__setattr__(obj, field, check_real(prefix + field, getattr(obj, field), rule))
+
+
+class _RecordType(type):
+    """Gives a :class:`Record` subclass its fields: its annotated names, after its base's, as
+    ``__slots__`` and ``__match_args__``.  A class attribute so named is that field's default."""
+
+    def __new__(mcls, name, bases, ns):
+        # from Python 3.14 (PEP 649) a class body leaves a function that makes its
+        # annotations, called with 1 (annotationlib.Format.VALUE)
+        annotate = ns.get("__annotate__") or ns.get("__annotate_func__")
+        own = ns["__slots__"] = tuple(ns.get("__annotations__") or annotate and annotate(1) or ())
+        base = bases[0] if bases else object
+        fields = ns["__match_args__"] = getattr(base, "__match_args__", ()) + own
+        ns["_values"] = property(operator.attrgetter(*fields) if len(fields) > 1  # a tuple
+                                 else lambda record: tuple(getattr(record, f) for f in fields))
+        ns["_defaults"] = {**getattr(base, "_defaults", {}),
+                           **{f: ns.pop(f) for f in own if f in ns}}
+        return super().__new__(mcls, name, bases, ns)
+
+    @property
+    def __signature__(cls):  # built when asked: making a record never imports inspect
+        from inspect import Parameter, Signature
+        return Signature([Parameter(f, Parameter.POSITIONAL_OR_KEYWORD,
+                                    default=cls._defaults.get(f, Parameter.empty))
+                          for f in cls.__match_args__])
+
+
+class Record(metaclass=_RecordType):
+    """A frozen value type, built from its fields by position or keyword, then checked by
+    ``__post_init__``; compared (with its own class only), hashed and printed by value."""
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            args = _bind(type(self), args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields, storing a normalised value with ``object.__setattr__``."""
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values == other._values if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({values})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, args, kwargs) -> tuple:
+    """Every field value of ``cls(*args, **kwargs)``, a default for each one not given."""
+    rest, given = cls.__match_args__[len(args):], {**cls._defaults, **kwargs}
+    unexpected = [*args[len(cls.__match_args__):], *(name for name in kwargs if name not in rest)]
+    if unexpected:  # one argument too many, a name that is no field or one given twice
+        raise TypeError(f"{cls.__qualname__}() got an unexpected argument {unexpected[0]!r}")
+    try:
+        return args + tuple(given[name] for name in rest)
+    except KeyError as missing:
+        raise TypeError(f"{cls.__qualname__}() missing argument {missing}") from None

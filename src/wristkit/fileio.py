@@ -203,15 +203,18 @@ def write_torque_curve(path, curve: TorqueCurve) -> None:
 # spring catalogs
 # ---------------------------------------------------------------------------
 
-def _catalog_entry(cells) -> SpringCatalogEntry:
-    name, stiffness = cells
-    if not name:
-        raise ValueError("empty spring name")
-    return SpringCatalogEntry(name, _number("stiffness_Nmm_per_deg", stiffness))
-
-
 def read_spring_catalog(path) -> tuple:
-    return _table(path, _CATALOG_HEADER, _catalog_entry, "catalog has no entries")
+    listed = set()  # a second entry would let one design name a spring twice
+
+    def entry(cells):
+        name, stiffness = cells
+        if not name:
+            raise ValueError("empty spring name")
+        if name in listed:
+            raise ValueError(f"spring {name!r} already listed")
+        listed.add(name)
+        return SpringCatalogEntry(name, _number("stiffness_Nmm_per_deg", stiffness))
+    return _table(path, _CATALOG_HEADER, entry, "catalog has no entries")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ are quoted in N*mm/deg while the model works in N*m/rad.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .biomech import TorqueCurve
-from .errors import DomainError, check_fields, check_real
+from .errors import DomainError, Record, check_fields, check_real
 from .transmission import SpringSpec
 
 # 1 N*m/rad expressed in N*mm/deg.
@@ -23,8 +22,7 @@ NMM_PER_DEG_PER_NM_PER_RAD = 1000.0 * math.pi / 180.0
 _R2_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(Record):
     """Ordinary least-squares line through a torque curve."""
 
     slope: float      # N*m/rad
@@ -39,8 +37,7 @@ class LinearFit:
             raise DomainError(f"r_squared out of [0, 1]: {self.r_squared}")
 
 
-@dataclass(frozen=True)
-class SpringCatalogEntry:
+class SpringCatalogEntry(Record):
     """One off-the-shelf spring, stiffness as quoted by the vendor."""
 
     name: str
@@ -50,8 +47,7 @@ class SpringCatalogEntry:
         check_fields(self, f"catalog entry {self.name!r}: ", stiffness="> 0")
 
 
-@dataclass(frozen=True)
-class CatalogSelection:
+class CatalogSelection(Record):
     """Best catalog match plus its immediate softer/stiffer neighbors."""
 
     nominal: SpringCatalogEntry

@@ -13,15 +13,13 @@ Angles are radians, torques N*m, forces N.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, check_fields, check_real
+from .errors import ConfigError, DomainError, Record, check_fields, check_real
 
 CAPSTAN_DIRECTIONS = ("aiding", "opposing")
 
 
-@dataclass(frozen=True)
-class SpringSpec:
+class SpringSpec(Record):
     """Linear clock spring: torque = stiffness * (neutral_angle - angle).
 
     ``neutral_angle`` is the joint angle at which the spring is relaxed.
@@ -39,8 +37,7 @@ class SpringSpec:
             check_fields(self, pre_wind=">= 0")
 
 
-@dataclass(frozen=True)
-class CableRoute:
+class CableRoute(Record):
     """Cable contact on the curved guide."""
 
     friction_mu: float = 0.04     # cable-on-guide friction coefficient
@@ -50,8 +47,7 @@ class CableRoute:
         check_fields(self, friction_mu=">= 0", wrap_angle=">= 0")
 
 
-@dataclass(frozen=True)
-class Gearing:
+class Gearing(Record):
     """Gearmotor lumped constants."""
 
     ratio: float = 128.0            # output rev per motor rev

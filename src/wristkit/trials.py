@@ -17,11 +17,10 @@ are bit-stable regardless of the order trials were ingested.
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, TrialRejected, check_real
+from .errors import DataError, DomainError, Record, TrialRejected, check_real
 from .stats import chi2_survival
 from .transmission import Gearing
 
@@ -37,8 +36,7 @@ DEFAULT_MAX_INTERP_FRACTION = 0.05
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TrialMeta:
+class TrialMeta(Record):
     """Experimental condition identifying one trial."""
 
     participant: str
@@ -60,8 +58,7 @@ class TrialMeta:
         return (self.participant, self.posture, self.load, self.spring)
 
 
-@dataclass(frozen=True)
-class TrialLog:
+class TrialLog(Record):
     """Time-aligned angle/current/button channels for one trial."""
 
     time: np.ndarray        # s, strictly increasing
@@ -97,8 +94,7 @@ class TrialLog:
         return self.time.size
 
 
-@dataclass(frozen=True, slots=True)
-class TrialMetrics:
+class TrialMetrics(Record):
     """Scalar outcomes of one cleaned trial."""
 
     rom_ab: float                 # deg
@@ -122,15 +118,13 @@ class TrialMetrics:
             raise DomainError("interpolated_fraction must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
+class FriedmanResult(Record):
     chi2: float
     p_value: float
     df: int
 
 
-@dataclass(frozen=True)
-class LikertResponse:
+class LikertResponse(Record):
     """One questionnaire answer on the 10-point discomfort/burden scale."""
 
     participant: str
@@ -193,8 +187,9 @@ def clean_interpolate(log: TrialLog,
         angle[bad] = np.interp(time[bad], good_t, angle[~bad])
         current[bad] = np.interp(time[bad], good_t, current[~bad])
     cleaned = object.__new__(TrialLog)  # a slice of a checked log: no re-check needed
-    cleaned.__dict__.update(time=time, angle_deg=angle, current_ma=current,
-                            button=log.button[keep], meta=log.meta)
+    for field, value in zip(TrialLog.__match_args__,
+                            (time, angle, current, log.button[keep], log.meta)):
+        object.__setattr__(cleaned, field, value)
     return cleaned, fraction
 
 

@@ -218,6 +218,11 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
      "config error: [springs] catalog_path not found: ./cfg/./nowhere.csv"),
     (["--config", "./cfg/t.ini", "simulate", "--out", "./c.csv"], 3,
      "config error: ./cfg/./s.csv:2: stiffness_Nmm_per_deg is not a number: 'bad'"),
+    # a catalog lists each spring once, so no design names one spring twice
+    (["fit", "./ok.csv", "--catalog", "./cfg/twice.csv"], 2,
+     "data error: ./cfg/twice.csv:3: spring 'S3' already listed"),
+    (["--config", "./cfg/twice.ini", "fit", "./ok.csv"], 3,
+     "config error: ./cfg/./twice.csv:3: spring 'S3' already listed"),
     # an empty path is named '', as OSError names it
     (["--config", "", "simulate", "--out", "./c.csv"], 3,
      "config error: config file not found: ''"),
@@ -225,7 +230,8 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
     (["report", ""], 2, "data error: '': No such file or directory"),
 ], ids=["output-path", "config-file", "trial-dir", "config-byte", "parent-is-a-file",
         "ancestor-is-a-file", "out-dir-is-a-file", "catalog-missing", "catalog-bad-row",
-        "empty-config", "empty-trial-dir", "empty-report"])
+        "catalog-repeat", "config-catalog-repeat", "empty-config", "empty-trial-dir",
+        "empty-report"])
 def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
                                                 message):
     monkeypatch.chdir(tmp_path)
@@ -238,10 +244,13 @@ def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, a
     Path("cfg/missing.ini").write_text("[springs]\ncatalog_path = ./nowhere.csv\n")
     Path("cfg/t.ini").write_text("[springs]\ncatalog_path = ./s.csv\n")
     Path("cfg/s.csv").write_text("name,stiffness_Nmm_per_deg\nA,bad\n")
+    Path("cfg/twice.ini").write_text("[springs]\ncatalog_path = ./twice.csv\n")
+    Path("cfg/twice.csv").write_text("name,stiffness_Nmm_per_deg\nS3,13.2\nS3,11\nS4,9\n")
     assert run(argv) == code
     assert capsys.readouterr() == ("", message + "\n")
     assert sorted(os.listdir()) == ["a", "bad.ini", "bad2.ini", "cfg", "ok.csv", "outdir"]
-    assert sorted(os.listdir("cfg")) == ["missing.ini", "s.csv", "t.ini"]
+    assert sorted(os.listdir("cfg")) == ["missing.ini", "s.csv", "t.ini", "twice.csv",
+                                         "twice.ini"]
     assert os.listdir("outdir") == []
 
 
@@ -632,16 +641,20 @@ def test_analyze_does_not_import_numpy_ma(tmp_path, corpus_dir):
     assert (rc, imported) == ("0", "False"), done.stderr
 
 
-# Ends a CLI call with its exit code and, for wristkit.trials and wristkit.stats, whether
-# the module's code ran.  type(), not an attribute: any attribute of a lazy module runs it.
+# Ends a CLI call with its exit code, for wristkit.trials and wristkit.stats whether the
+# module's code ran (type(), not an attribute: any attribute of a lazy module runs it), and
+# whether wristkit loaded dataclasses, counted from after numpy's import, which may load it.
 _RAN_TRIALS = ("import sys, types\n"
+               "import numpy\n"
+               "before = set(sys.modules)\n"
                "from wristkit.cli import main\n"
                "try:\n"
                "    rc = main(sys.argv[1:])\n"
                "except SystemExit as exc:\n"
                "    rc = exc.code\n"
                "print(rc, *(type(sys.modules[f'wristkit.{name}']) is types.ModuleType\n"
-               "            for name in ('trials', 'stats')))\n")
+               "            for name in ('trials', 'stats')),\n"
+               "      'dataclasses' in sys.modules.keys() - before)\n")
 
 
 @pytest.fixture(scope="module")
@@ -654,15 +667,15 @@ def design_files(tmp_path_factory, corpus_dir):
 
 
 @pytest.mark.parametrize("argv, ran", [
-    (["simulate", "--posture", "all", "--out", "{tmp}/curves"], "0 False False"),
+    (["simulate", "--posture", "all", "--out", "{tmp}/curves"], "0 False False False"),
     (["fit", "{design}/curves/P1.csv", "{design}/curves/P2.csv", "{design}/curves/P3.csv",
-      "--out", "{tmp}/design.json"], "0 False False"),
+      "--out", "{tmp}/design.json"], "0 False False False"),
     (["fit", "{design}/curves/P1.csv", "{design}/curves/P2.csv", "{design}/curves/P3.csv"],
-     "0 False False"),
-    (["report", "{design}/report.json", "--plots-dir", "{tmp}/plots"], "0 False False"),
-    (["simulate"], "1 False False"),
-    (["--help"], "0 False False"),
-    (["analyze", "{corpus}", "--out", "{tmp}/report.json"], "0 True True"),  # the control
+     "0 False False False"),
+    (["report", "{design}/report.json", "--plots-dir", "{tmp}/plots"], "0 False False False"),
+    (["simulate"], "1 False False False"),
+    (["--help"], "0 False False False"),
+    (["analyze", "{corpus}", "--out", "{tmp}/report.json"], "0 True True False"),  # the control
 ], ids=["simulate", "fit-to-file", "fit-to-stdout", "report", "usage-error", "help", "analyze"])
 def test_only_analyze_runs_the_trial_analysis_code(tmp_path, design_files, corpus_dir, argv,
                                                    ran):
@@ -715,6 +728,22 @@ def test_a_zero_amplitude_simulate_names_the_motion_amplitude(tmp_path, capsys):
     assert run(["--config", str(config), "simulate", "--posture", "P1", "--out", str(out)]) == 2
     assert capsys.readouterr() == (
         "", "data error: P1: motion amplitude 0.0 rad: no angle range to sweep\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude_deg, samples, message", [
+    ("1e-15", "50", "motion amplitude 1.7453292519943298e-17 rad: too narrow for 50 distinct "
+                    "angles"),
+    ("1e-12", "1000000", "motion amplitude 1.7453292519943295e-14 rad: too narrow for 1000000 "
+                         "distinct angles")], ids=["default-samples", "most-samples"])
+def test_a_motion_too_narrow_for_its_samples_names_the_amplitude(tmp_path, capsys,
+                                                                 amplitude_deg, samples, message):
+    config = tmp_path / "toolkit.ini"
+    config.write_text(f"[motion]\namplitude_deg = {amplitude_deg}\n")
+    out = tmp_path / "P1.csv"
+    assert run(["--config", str(config), "simulate", "--posture", "P1", "--samples", samples,
+                "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"data error: P1: {message}\n")
     assert not out.exists()
 
 

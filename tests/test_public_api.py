@@ -1,5 +1,8 @@
+import copy
 import importlib
+import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +51,98 @@ def test_a_bare_import_runs_no_submodule():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[] False\n"), done.stderr
+
+
+# Each public value type: a sample's constructor arguments, its exact repr, and the
+# defaults of its trailing fields.  Every other field is required.
+_MEMBER = wristkit.SpringCatalogEntry("S1", 10.66)
+_META = wristkit.TrialMeta("P1", "POS1", "unloaded", "S1", 1)
+_RECORDS = [
+    (wristkit.BodySegment, ("hand", 0.6, 0.19, 0.5), {},
+     "BodySegment(name='hand', mass=0.6, length=0.19, com_ratio=0.5)"),
+    (wristkit.ArmPosture, (0.5, 1.0, 1.5, "P1"), {"label": ""},
+     "ArmPosture(shoulder_flexion=0.5, elbow_flexion=1.0, forearm_pronation=1.5, label='P1')"),
+    (wristkit.LoadSpec, (0.5, 0.08), {}, "LoadSpec(handheld_mass=0.5, grip_offset=0.08)"),
+    (wristkit.MotionProfile, (-0.125, 0.625), {},
+     "MotionProfile(mean_angle=-0.125, amplitude=0.625)"),
+    (wristkit.KinematicConvention, (0.5, 0.25, 0.125),
+     {"axis_obliquity": 0.8726646259971648, "grip_extension": 0.3490658503988659,
+      "carrying_angle": 0.17453292519943295},
+     "KinematicConvention(axis_obliquity=0.5, grip_extension=0.25, carrying_angle=0.125)"),
+    (wristkit.TorqueCurve, ([0.25], [1.5], "P1"), {"posture_label": ""},
+     "TorqueCurve(angles=array([0.25]), moments=array([1.5]), posture_label='P1')"),
+    (wristkit.LinearFit, (-1.5, 0.25, 0.875, 50), {},
+     "LinearFit(slope=-1.5, intercept=0.25, r_squared=0.875, n_points=50)"),
+    (wristkit.SpringCatalogEntry, ("S2", 11.71), {},
+     "SpringCatalogEntry(name='S2', stiffness=11.71)"),
+    (wristkit.CatalogSelection, (_MEMBER, None, _MEMBER), {},
+     "CatalogSelection(nominal=SpringCatalogEntry(name='S1', stiffness=10.66), softer=None, "
+     "stiffer=SpringCatalogEntry(name='S1', stiffness=10.66))"),
+    (wristkit.SpringSpec, (0.75, 0.125, 0.5), {"pre_wind": None},
+     "SpringSpec(stiffness=0.75, neutral_angle=0.125, pre_wind=0.5)"),
+    (wristkit.CableRoute, (0.25, 2.0), {"friction_mu": 0.04, "wrap_angle": 3.141592653589793},
+     "CableRoute(friction_mu=0.25, wrap_angle=2.0)"),
+    (wristkit.Gearing, (64.0, 0.5, 0.25),
+     {"ratio": 128.0, "efficiency": 0.78, "torque_constant": 0.0105},
+     "Gearing(ratio=64.0, efficiency=0.5, torque_constant=0.25)"),
+    (wristkit.ToolkitConfig, ({}, None, 9.81, {}, None, None, None, (_MEMBER,), None,
+                              (-60.0, 45.0), 0.05), {},
+     "ToolkitConfig(segments={}, convention=None, gravity=9.81, postures={}, motion=None, "
+     "load=None, gearing=None, catalog=(SpringCatalogEntry(name='S1', stiffness=10.66),), "
+     "pre_wind=None, angle_bounds=(-60.0, 45.0), max_interpolated_fraction=0.05)"),
+    (wristkit.TrialMeta, ("P1", "POS2", "loaded_300g", "S3", 4), {},
+     "TrialMeta(participant='P1', posture='POS2', load='loaded_300g', spring='S3', "
+     "trial_index=4)"),
+    (wristkit.TrialLog, ([0.0], [1.5], [2.5], ("B2",), _META), {"meta": None},
+     "TrialLog(time=array([0.]), angle_deg=array([1.5]), current_ma=array([2.5]), "
+     "button=('B2',), meta=TrialMeta(participant='P1', posture='POS1', load='unloaded', "
+     "spring='S1', trial_index=1))"),
+    (wristkit.TrialMetrics, (10.0, 5.0, 15.0, 0.25, 100, 0.0, _META), {"meta": None},
+     "TrialMetrics(rom_ab=10.0, rom_ad=5.0, rom_total=15.0, tau_rms=0.25, n_samples=100, "
+     "interpolated_fraction=0.0, meta=TrialMeta(participant='P1', posture='POS1', "
+     "load='unloaded', spring='S1', trial_index=1))"),
+    (wristkit.FriedmanResult, (3.25, 0.5, 2), {}, "FriedmanResult(chi2=3.25, p_value=0.5, df=2)"),
+    (wristkit.LikertResponse, ("P1", "size", 3), {},
+     "LikertResponse(participant='P1', item='size', score=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, defaults, text", _RECORDS,
+                         ids=[cls.__name__ for cls, *_ in _RECORDS])
+def test_a_value_type_is_a_frozen_record_compared_by_value(cls, args, defaults, text):
+    params = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+    fields = tuple(name for name, _ in params)
+    assert len(fields) == len(args) and cls.__match_args__ == fields
+    assert params == [(name, defaults.get(name, inspect.Parameter.empty)) for name in fields]
+
+    record = cls(*args)
+    assert repr(record) == text
+    values = tuple(getattr(record, name) for name in fields)
+    for same in (cls(**dict(zip(fields, args))), cls(*args[:1], **dict(zip(fields[1:], args[1:]))),
+                 copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert same == record and not same != record
+        assert tuple(getattr(same, name) for name in fields) == values
+    short = cls(*args[:len(args) - len(defaults)])
+    assert tuple(getattr(short, name) for name in defaults) == tuple(defaults.values())
+    try:
+        hash(values)
+    except TypeError:   # a field holds an array or a dict, so the record has no hash either
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*args)) == hash(values)
+        assert len({record, cls(*args)}) == 1
+
+    sub = type(cls.__name__, (cls,), {})(*args)
+    assert record != values and record != sub and sub != record and not record == sub
+
+    for name in {fields[0], fields[-1]}:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+
+
+def test_a_record_keeps_no_instance_dict():
+    assert [cls.__name__ for cls, args, *_ in _RECORDS if hasattr(cls(*args), "__dict__")] == []
