@@ -75,27 +75,25 @@ def check_fields(obj, prefix: str = "", **rules):
 
 
 class _RecordType(type):
-    """Gives a :class:`Record` subclass its fields: its annotated names, after its base's, as
-    ``__slots__`` and ``__match_args__``.  A class attribute so named is that field's default."""
+    """Makes the annotated names of a :class:`Record` subclass, after its base's, its fields:
+    its ``__slots__`` and ``__match_args__``.  A class attribute so named is a default."""
 
     def __new__(mcls, name, bases, ns):
-        # from Python 3.14 (PEP 649) a class body leaves a function that makes its
-        # annotations, called with 1 (annotationlib.Format.VALUE)
+        # Python 3.14 defers annotations (PEP 649): 1 is annotationlib.Format.VALUE
         annotate = ns.get("__annotate__") or ns.get("__annotate_func__")
         own = ns["__slots__"] = tuple(ns.get("__annotations__") or annotate and annotate(1) or ())
-        base = bases[0] if bases else object
-        fields = ns["__match_args__"] = getattr(base, "__match_args__", ()) + own
-        ns["_values"] = property(operator.attrgetter(*fields) if len(fields) > 1  # a tuple
-                                 else lambda record: tuple(getattr(record, f) for f in fields))
-        ns["_defaults"] = {**getattr(base, "_defaults", {}),
-                           **{f: ns.pop(f) for f in own if f in ns}}
-        return super().__new__(mcls, name, bases, ns)
+        defaults = {field: ns.pop(field) for field in own if field in ns}
+        cls = super().__new__(mcls, name, bases, ns)
+        cls.__match_args__ = fields = getattr(cls, "__match_args__", ()) + own
+        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
+        if fields:
+            cls._values = property(operator.attrgetter(*fields))  # the field tuple
+        return cls
 
     @property
     def __signature__(cls):  # built when asked: making a record never imports inspect
-        from inspect import Parameter, Signature
-        return Signature([Parameter(f, Parameter.POSITIONAL_OR_KEYWORD,
-                                    default=cls._defaults.get(f, Parameter.empty))
+        from inspect import Parameter as P, Signature
+        return Signature([P(f, P.POSITIONAL_OR_KEYWORD, default=cls._defaults.get(f, P.empty))
                           for f in cls.__match_args__])
 
 
@@ -105,8 +103,15 @@ class Record(metaclass=_RecordType):
 
     def __init__(self, *args, **kwargs):
         fields = self.__match_args__
-        if kwargs or len(args) != len(fields):
-            args = _bind(type(self), args, kwargs)
+        if kwargs or len(args) != len(fields):  # bind by name, a default for a field not given
+            rest, given = fields[len(args):], {**self._defaults, **kwargs}
+            extra = [*args[len(fields):], *(name for name in kwargs if name not in rest)]
+            missing = [name for name in rest if name not in given]
+            if extra or missing:  # an argument too many, a name that is no field or given twice
+                what = "got an unexpected" if extra else "missing"
+                raise TypeError(f"{type(self).__qualname__}() {what} argument "
+                                f"{(extra or missing)[0]!r}")
+            args += tuple(given[name] for name in rest)
         for field, value in zip(fields, args):
             object.__setattr__(self, field, value)
         self.__post_init__()
@@ -126,22 +131,10 @@ class Record(metaclass=_RecordType):
         return f"{type(self).__qualname__}({values})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return type(self), self._values
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _bind(cls, args, kwargs) -> tuple:
-    """Every field value of ``cls(*args, **kwargs)``, a default for each one not given."""
-    rest, given = cls.__match_args__[len(args):], {**cls._defaults, **kwargs}
-    unexpected = [*args[len(cls.__match_args__):], *(name for name in kwargs if name not in rest)]
-    if unexpected:  # one argument too many, a name that is no field or one given twice
-        raise TypeError(f"{cls.__qualname__}() got an unexpected argument {unexpected[0]!r}")
-    try:
-        return args + tuple(given[name] for name in rest)
-    except KeyError as missing:
-        raise TypeError(f"{cls.__qualname__}() missing argument {missing}") from None

@@ -643,9 +643,13 @@ def test_analyze_does_not_import_numpy_ma(tmp_path, corpus_dir):
 
 # Ends a CLI call with its exit code, for wristkit.trials and wristkit.stats whether the
 # module's code ran (type(), not an attribute: any attribute of a lazy module runs it), and
-# whether wristkit loaded dataclasses, counted from after numpy's import, which may load it.
-_RAN_TRIALS = ("import sys, types\n"
+# whether wristkit loaded dataclasses, counted from after numpy's import and a throwaway
+# argparse parser's help text: either may load it (argparse's colour theme does on 3.14).
+_RAN_TRIALS = ("import argparse, sys, types\n"
                "import numpy\n"
+               "parser = argparse.ArgumentParser()\n"
+               "parser.add_argument('--x')\n"
+               "parser.format_help()\n"
                "before = set(sys.modules)\n"
                "from wristkit.cli import main\n"
                "try:\n"
