@@ -127,10 +127,14 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_fit(cfg, args) -> int:
-    curves = {path: fileio.read_torque_curve(path, Path(path).stem) for path in args.curves}
-    worst = springs.worst_case_select(curves.values())
+    paths = {}  # curve label, its file's stem -> the one path given for it
+    for path in args.curves:
+        if paths.setdefault(label := Path(path).stem, path) != path:
+            raise DataError(f"{fileio.path_name(path)}: curve label {label!r} already used by "
+                            f"{fileio.path_name(paths[label])}")
+    worst = springs.worst_case_select(map(fileio.read_torque_curve, paths.values(), paths))
     catalog = cfg.catalog if args.catalog is None else fileio.read_spring_catalog(args.catalog)
-    path = next(p for p, c in curves.items() if c is worst)
+    path = paths[worst.posture_label]
     try:  # no spring from the worst-case curve, or a warning made an error: that file's error
         with warnings.catch_warnings(record=True) as caught:  # warned again below, naming the file
             fit = springs.fit_linear(worst)

@@ -25,6 +25,7 @@ from .stats import chi2_survival
 from .transmission import Gearing
 
 BUTTONS = ("", "B2", "B3", "B4")  # B2 abduct, B3 adduct, B4 return to neutral
+_BUTTON_SET = frozenset(BUTTONS)
 LOADS = ("unloaded", "loaded_300g")
 LIKERT_ITEMS = ("size", "weight", "don_doff")
 
@@ -81,13 +82,14 @@ class TrialLog(Record):
         if (time.ndim != 1 or angle.shape != time.shape or current.shape != time.shape
                 or len(self.button) != n):
             raise DomainError("trial log channels must be 1-d arrays of equal length")
-        if not np.isfinite(time).all():
-            raise DomainError("timestamps must be finite")
-        if not (time[1:] > time[:-1]).all():  # np.diff would overflow at ±1e308
+        # one pass: NaN compares false, so increasing between finite ends is finite throughout
+        if not (math.isfinite(time[0]) and math.isfinite(time[-1])
+                and (time[1:] > time[:-1]).all()):  # np.diff would overflow at ±1e308
+            if not np.isfinite(time).all():
+                raise DomainError("timestamps must be finite")
             raise DomainError("timestamps must be strictly increasing")
-        unknown = set(self.button).difference(BUTTONS)
-        if unknown:
-            first = next(b for b in self.button if b in unknown)
+        if not _BUTTON_SET.issuperset(self.button):
+            first = next(b for b in self.button if b not in _BUTTON_SET)
             raise DomainError(f"button must be one of {BUTTONS}, got {first!r}")
 
     def __len__(self) -> int:
@@ -176,21 +178,15 @@ def clean_interpolate(log: TrialLog,
     if not valid.any():
         raise TrialRejected("no valid samples", fraction)
     idx_valid = np.flatnonzero(valid)
-    first, last = idx_valid[0], idx_valid[-1]
-    keep = slice(first, last + 1)
+    keep = slice(idx_valid[0], idx_valid[-1] + 1)
     time = log.time[keep]
     angle = angle[keep].copy()
     current = current[keep].copy()
     bad = ~valid[keep]
-    if bad.any():
-        good_t = time[~bad]
-        angle[bad] = np.interp(time[bad], good_t, angle[~bad])
-        current[bad] = np.interp(time[bad], good_t, current[~bad])
-    cleaned = object.__new__(TrialLog)  # a slice of a checked log: no re-check needed
-    for field, value in zip(TrialLog.__match_args__,
-                            (time, angle, current, log.button[keep], log.meta)):
-        object.__setattr__(cleaned, field, value)
-    return cleaned, fraction
+    good_t = time[~bad]
+    angle[bad] = np.interp(time[bad], good_t, angle[~bad])
+    current[bad] = np.interp(time[bad], good_t, current[~bad])
+    return TrialLog(time, angle, current, log.button[keep], log.meta), fraction
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,9 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
      "data error: ./cfg/twice.csv:3: spring 'S3' already listed"),
     (["--config", "./cfg/twice.ini", "fit", "./ok.csv"], 3,
      "config error: ./cfg/./twice.csv:3: spring 'S3' already listed"),
+    # a curve is labelled by its file's stem, so no design names a worst case two files share
+    (["fit", "./ok.csv", "cfg/ok.csv"], 2,
+     "data error: cfg/ok.csv: curve label 'ok' already used by ./ok.csv"),
     # an empty path is named '', as OSError names it
     (["--config", "", "simulate", "--out", "./c.csv"], 3,
      "config error: config file not found: ''"),
@@ -230,8 +233,8 @@ def test_simulate_names_the_posture_whose_curve_is_not_finite(tmp_path, capsys):
     (["report", ""], 2, "data error: '': No such file or directory"),
 ], ids=["output-path", "config-file", "trial-dir", "config-byte", "parent-is-a-file",
         "ancestor-is-a-file", "out-dir-is-a-file", "catalog-missing", "catalog-bad-row",
-        "catalog-repeat", "config-catalog-repeat", "empty-config", "empty-trial-dir",
-        "empty-report"])
+        "catalog-repeat", "config-catalog-repeat", "curve-label-repeat", "empty-config",
+        "empty-trial-dir", "empty-report"])
 def test_messages_name_a_path_as_it_was_written(tmp_path, capsys, monkeypatch, argv, code,
                                                 message):
     monkeypatch.chdir(tmp_path)
@@ -279,6 +282,9 @@ def test_fit_to_stdout(tmp_path, capsys):
     assert run(["fit", str(curve_path), "--out", str(tmp_path / "design.json")]) == 0
     assert (tmp_path / "design.json").read_bytes() == stdout.encode()
     capsys.readouterr()
+    # one path given twice is one curve
+    assert run(["fit", str(curve_path), str(curve_path)]) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_bad_config_exits_3(tmp_path, capsys):

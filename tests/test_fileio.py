@@ -180,7 +180,14 @@ def test_read_trial_log_errors(tmp_path):
 @pytest.mark.parametrize("times, message", [
     (("-1e308", "1e308"), None),  # np.diff of these times overflows
     (("0.01", "0.01"), "timestamps must be strictly increasing"),
-    (("0.02", "0.01"), "timestamps must be strictly increasing")])
+    (("0.02", "0.01"), "timestamps must be strictly increasing"),
+    # a time that is not finite is named as such wherever it lies, even beside a repeat
+    (("0", "nan", "0.02"), "timestamps must be finite"),
+    (("0", "0.01", "inf"), "timestamps must be finite"),
+    (("-inf", "0", "0.01"), "timestamps must be finite"),
+    (("0.01", "0.01", "nan"), "timestamps must be finite"),
+    (("nan",), "timestamps must be finite"),
+    (("0", "0.01", "0.01", "0.02"), "timestamps must be strictly increasing")])
 def test_trial_log_time_order_is_checked_without_overflow(tmp_path, times, message):
     path = tmp_path / "t.csv"
     path.write_text("t_s,angle_deg,current_mA,button\n" + "".join(f"{t},1,2,\n" for t in times))

@@ -77,6 +77,23 @@ def test_unknown_button_message_names_the_first_in_sample_order():
         TrialLog(np.arange(4) * 0.01, np.zeros(4), np.zeros(4), ["B7", "B9", "B7", ""])
 
 
+def test_timestamps_are_worded_as_a_finite_check_then_an_order_check():
+    """Every time column of 1 to 4 values from a pool holding NaN, both infinities and the
+    float limits: the message is the first of the finite and the order check that fails."""
+    pool = (NAN, math.inf, -math.inf, -1e308, 0.0, 1.0, 1e308)
+    for n in range(1, 5):
+        for times in itertools.product(pool, repeat=n):
+            time = np.array(times)
+            expected = ("finite" if not np.isfinite(time).all() else
+                        "strictly increasing" if not (time[1:] > time[:-1]).all() else None)
+            try:
+                TrialLog(time, np.zeros(n), np.zeros(n), [""] * n)
+                message = None
+            except DomainError as exc:
+                message = str(exc)
+            assert message == (expected and f"timestamps must be {expected}"), times
+
+
 def test_metrics_rom_sum_invariant():
     with pytest.raises(DomainError):
         TrialMetrics(4.0, 5.0, 10.0, 0.0, 10, 0.0)
@@ -160,8 +177,9 @@ def test_clean_preserves_buttons():
     assert cleaned.button == ("B2", "B3", "")
 
 
-def test_read_then_clean_checks_each_log_once(tmp_path):
-    # clean, repaired inside, and repaired with a dropped first and last sample
+def test_read_then_clean_checks_a_repaired_log_by_its_constructor(tmp_path):
+    # clean (returned as read), repaired inside, and repaired with a dropped first and last
+    # sample: a repaired log is a new TrialLog, checked as every log is
     texts = ["0,1,2,B2\n0.01,2,3,\n0.02,3,4,B3\n",
              "0,1,2,B2\n0.01,,3,\n0.02,3,,B3\n0.03,4,5,\n",
              "0,,2,\n0.01,1,3,B2\n0.02,99,4,\n0.03,3,5,B4\n0.04,4,,\n"]
@@ -177,13 +195,10 @@ def test_read_then_clean_checks_each_log_once(tmp_path):
         path.write_text("t_s,angle_deg,current_mA,button\n" + text)
         with mock.patch.object(TrialLog, "__post_init__", counting):
             cleaned, _ = clean_interpolate(fileio.read_trial_log(path), max_fraction=0.6)
-        assert len(checked) == k + 1
-        # the check would neither reject nor convert anything in the repaired log
-        again = TrialLog(cleaned.time, cleaned.angle_deg, cleaned.current_ma, cleaned.button)
+        assert len(checked) == 2 * k + 1 and checked[-1] is cleaned
         for name in ("time", "angle_deg", "current_ma"):
             assert getattr(cleaned, name).dtype == float
-            assert getattr(cleaned, name).tobytes() == getattr(again, name).tobytes()
-        assert type(cleaned.button) is tuple and cleaned.button == again.button
+        assert type(cleaned.button) is tuple
     assert list(cleaned.angle_deg) == [1.0, 2.0, 3.0]
     assert list(cleaned.current_ma) == [3.0, 4.0, 5.0]
 
