@@ -87,9 +87,9 @@ def _curve_summary(curve) -> str:
 
 
 def cmd_simulate(cfg, args) -> int:
+    flags = {"--shoulder-deg": args.shoulder_deg, "--elbow-deg": args.elbow_deg,
+             "--pronation-deg": args.pronation_deg}
     if args.posture == "custom":
-        flags = {"--shoulder-deg": args.shoulder_deg, "--elbow-deg": args.elbow_deg,
-                 "--pronation-deg": args.pronation_deg}
         if None in flags.values():
             raise ConfigError("custom posture needs --shoulder-deg, --elbow-deg, "
                               "and --pronation-deg")
@@ -97,6 +97,8 @@ def cmd_simulate(cfg, args) -> int:
             if not math.isfinite(value):
                 raise ConfigError(f"{flag} must be finite, got {value}")
         selected = [ArmPosture(*(math.radians(a) for a in flags.values()), label="custom")]
+    elif given := [flag for flag, value in flags.items() if value is not None]:
+        raise ConfigError(f"{given[0]} needs --posture custom, got --posture {args.posture}")
     elif args.posture == "all":
         selected = list(cfg.postures.values())
     else:

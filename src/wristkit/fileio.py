@@ -43,7 +43,7 @@ _CURVE_HEADER = ["angle_rad", "moment_Nm"]
 _CATALOG_HEADER = ["name", "stiffness_Nmm_per_deg"]
 _TRIAL_HEADER = ["t_s", "angle_deg", "current_mA", "button"]
 _LIKERT_HEADER = ["participant", "item", "score"]
-_NOT_PLAIN = '"\r\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
+_NOT_PLAIN = '"\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
 _BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
 _SCALARS = (str, int, float, type(None))  # rendered by _json whole; any other child is walked
@@ -56,16 +56,18 @@ def path_name(path) -> str:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path``, a leading byte-order mark dropped; an unreadable or
-    undecodable file is a :class:`DataError` naming the file (and the line of a bad byte)."""
+    """The UTF-8 text of ``path``, a leading byte-order mark dropped and line ends read as
+    text mode reads them (CRLF and a lone CR as LF); an unreadable or undecodable file
+    is a :class:`DataError` naming the file (and the line of a bad byte)."""
     try:
-        with open(path, encoding="utf-8") as handle:  # "utf-8-sig" reads a cut-off mark as ""
-            return handle.read().removeprefix("\ufeff")
+        with open(path, "rb") as handle:  # "utf-8-sig" reads a cut-off mark as ""
+            text = handle.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"{path_name(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_text(path, text) -> None:
@@ -121,13 +123,14 @@ def _plain_table(text, header, dtype):
     row of another cell count or a number ``loadtxt`` rejects.  ``loadtxt`` parses
     with the C core of ``float``, so ``_records`` agrees on every table returned."""
     lines = text.split("\n")
+    rows = lines[1:]
     limit = csv.field_size_limit()
     if (not text.isascii() or any(char in text for char in _NOT_PLAIN)  # "\n" ends lines
-            or lines[0] != ",".join(header) or not any(lines[1:])  # loadtxt warns
+            or lines[0] != ",".join(header) or not any(rows)  # loadtxt warns
             or len(text) > limit and max(map(len, lines)) > limit):
         return None
     try:
-        return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except ValueError:
         return None
 
@@ -139,8 +142,9 @@ def _read_columns(path, header, dtype, parse, build):
     declines, or whose columns ``build`` refuses with a :class:`DomainError`, goes through
     ``_records`` from the same text, which names the bad row or the file."""
     text = _read_text(path)  # ",," is in no header, and a curve row holding it has 3+ cells
-    table = _plain_table(text.replace(",,", ",nan,").replace(",,", ",nan,") if ",," in text
-                         else text, header, dtype)
+    plain = text.replace(",,", ",nan,")  # ",,," needs a second pass: ",nan,," after one
+    table = _plain_table(plain.replace(",,", ",nan,") if len(plain) != len(text) else plain,
+                         header, dtype)
     if table is not None:
         with suppress(DomainError):  # a list: star-unpacking a generator left more heap
             return build(*[table[name].copy() if kind is float else table[name].tolist()
@@ -287,15 +291,15 @@ def read_likert_responses(path) -> tuple:
 def _json(value, indent: str) -> str:
     """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it where ``indent``
     starts a line, each float first re-quantized to 6 significant digits."""
+    if isinstance(value, float):  # most of a report's values
+        text = repr(float(f"{value:.6g}"))
+        return _NON_FINITE.get(text, text)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        text = repr(float(f"{value:.6g}"))
-        return _NON_FINITE.get(text, text)
     return "".join(_pieces(value, indent, 1))
 
 
@@ -313,8 +317,10 @@ def _pieces(value, indent="\n", depth=2):
     inner = indent + "  "
     for n, (prefix, child) in enumerate(members):
         yield ("," if n else brackets[0]) + inner + prefix
-        deeper = depth > 1 and not isinstance(child, _SCALARS)
-        yield from _pieces(child, inner, depth - 1) if deeper else (_json(child, inner),)
+        if depth > 1 and not isinstance(child, _SCALARS):
+            yield from _pieces(child, inner, depth - 1)
+        else:
+            yield _json(child, inner)
     yield indent + brackets[1] if len(value) else brackets
 
 

@@ -166,7 +166,7 @@ def clean_interpolate(log: TrialLog,
     valid = (np.isfinite(angle) & np.isfinite(current)
              & (angle >= lo) & (angle <= hi))
     n = valid.size
-    n_bad = int(n - valid.sum())
+    n_bad = n - np.count_nonzero(valid)
     fraction = n_bad / n
     if fraction > max_fraction:
         raise TrialRejected(
@@ -175,17 +175,18 @@ def clean_interpolate(log: TrialLog,
     if n_bad == 0:
         return log, 0.0
 
-    if not valid.any():
+    if n_bad == n:
         raise TrialRejected("no valid samples", fraction)
     idx_valid = np.flatnonzero(valid)
     keep = slice(idx_valid[0], idx_valid[-1] + 1)
     time = log.time[keep]
     angle = angle[keep].copy()
     current = current[keep].copy()
-    bad = ~valid[keep]
-    good_t = time[~bad]
-    angle[bad] = np.interp(time[bad], good_t, angle[~bad])
-    current[bad] = np.interp(time[bad], good_t, current[~bad])
+    good = valid[keep]
+    bad = ~good
+    bad_t, good_t = time[bad], time[good]
+    angle[bad] = np.interp(bad_t, good_t, angle[good])
+    current[bad] = np.interp(bad_t, good_t, current[good])
     return TrialLog(time, angle, current, log.button[keep], log.meta), fraction
 
 
@@ -200,21 +201,21 @@ def rom_metrics(log: TrialLog) -> tuple:
     negative excursion magnitude; each clamps at +0.0 when the trace
     never crosses to that side.
     """
-    angle = log.angle_deg
-    if not np.isfinite(angle).all():
+    top, bottom = float(log.angle_deg.max()), float(log.angle_deg.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):  # NaN propagates through both
         raise DomainError("rom_metrics needs a cleaned log (finite angles)")
     # max keeps its first argument on a tie, so a -0.0 excursion clamps to +0.0
-    rom_ab = max(0.0, float(angle.max()))
-    rom_ad = max(0.0, -float(angle.min()))
+    rom_ab = max(0.0, top)
+    rom_ad = max(0.0, -bottom)
     return rom_ab, rom_ad, rom_ab + rom_ad
 
 
 def rms_torque(log: TrialLog, gear: Gearing) -> float:
     """Root-mean-square motor-side torque (N*m) over the trial; inf when the
     squares overflow (a current above about 1.3e157 mA)."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.mean(np.square(log.current_ma / 1000.0)))
-                     * gear.torque_constant)
+    with np.errstate(over="ignore"):  # np.mean's pairwise sum and division, without its Python
+        squares = np.square(log.current_ma / 1000.0)
+        return float(np.sqrt(np.add.reduce(squares) / squares.size) * gear.torque_constant)
 
 
 def joint_torque_estimate(tau_motor: float, gear: Gearing) -> float:

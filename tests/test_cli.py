@@ -87,6 +87,22 @@ def test_simulate_takes_a_negative_angle_in_exponent_form_after_equals(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("posture, angles, flag", [
+    ("P1", ["--shoulder-deg", "5"], "--shoulder-deg"),
+    ("all", ["--elbow-deg", "nan"], "--elbow-deg"),
+    ("P3", ["--pronation-deg=-1e1", "--shoulder-deg", "0"], "--shoulder-deg"),
+    (None, ["--pronation-deg", "45"], "--pronation-deg")])
+def test_simulate_refuses_a_custom_angle_with_a_preset_posture(tmp_path, capsys, posture,
+                                                                angles, flag):
+    """A preset posture would ignore the angle flag and write its own curve."""
+    out = tmp_path / "curves"
+    argv = ["simulate", *(["--posture", posture] if posture else []), *angles, "--out", str(out)]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", f"config error: {flag} needs --posture custom, "
+                                       f"got --posture {posture or 'all'}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [1, MAX_SAMPLES + 1, 10**20])
 def test_simulate_rejects_a_sample_count_out_of_range(tmp_path, capsys, samples):
     # never run a count inside the bound but large: numpy would allocate it

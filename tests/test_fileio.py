@@ -469,6 +469,30 @@ def test_a_bad_byte_names_its_line(tmp_path, mark):
     assert str(info.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+@pytest.mark.parametrize("body", [b"a,b\nc\n", b"a,b\r\nc\r\n", b"a,b\rc\r",
+                                  b"a\r\nb\rc\nd\r\r\ne\n\rf\r", b"a\r", b"\r\n", b""],
+                         ids=["LF", "CRLF", "CR", "mixed", "trailing CR", "CRLF only", "empty"])
+def test_read_text_reads_as_a_text_file(tmp_path, mark, body):
+    """Line ends as universal newlines read them, the mark dropped as before."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(mark + body * 1000)
+    with open(path, encoding="utf-8") as handle:
+        assert fileio._read_text(path) == handle.read().removeprefix("\ufeff")
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+def test_a_bad_byte_past_the_first_8_kib_names_its_line(tmp_path, end):
+    path = tmp_path / "t.csv"
+    lines = [b"t_s,angle_deg,current_mA,button"] + [b"%d,1,2," % k for k in range(2000)]
+    lines[1500] = b"1500,\xff,2,"
+    path.write_bytes(end.join(lines) + end)
+    assert path.stat().st_size > 8192 * 2
+    with pytest.raises(DataError) as info:
+        fileio.read_trial_log(path)
+    assert str(info.value) == f"{path}:1501: not UTF-8 text (invalid start byte)"
+
+
 @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
 def test_the_start_of_a_byte_order_mark_is_not_text(tmp_path, data):
     """Read through a text file, "utf-8-sig" would take these bytes for an empty file."""

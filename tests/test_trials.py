@@ -238,12 +238,36 @@ def test_rom_requires_clean_log():
         rom_metrics(make_log([1.0, NAN]))
 
 
+@pytest.mark.parametrize("bad", [NAN, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+def test_rom_refuses_a_non_finite_angle_anywhere(bad, where):
+    angles = [-10.0, 0.0, 20.0, 5.0, -15.0, 1.0, 2.0]
+    angles[where] = bad
+    with pytest.raises(DomainError, match=r"^rom_metrics needs a cleaned log \(finite angles\)$"):
+        rom_metrics(make_log(angles))
+
+
 def test_rms_torque():
     assert rms_torque(make_log([0.0] * 4, currents=[476.0] * 4), GEAR) == pytest.approx(
         4.998e-3, rel=1e-12)
     square = make_log([0.0] * 6, currents=[300.0, -300.0] * 3)
     assert rms_torque(square, GEAR) == pytest.approx(GEAR.torque_constant * 0.3, rel=1e-12)
     assert rms_torque(make_log([0.0] * 5), GEAR) == 0.0
+
+
+def test_rms_torque_is_numpy_mean_bit_for_bit():
+    """The same pairwise sum and division as ``np.mean``, squares that overflow included."""
+    rng = np.random.default_rng(30)
+    for n in [*range(1, 20), 127, 128, 129, 1000, 2000, *rng.integers(1, 2001, 40)]:
+        for scale in (500.0, 1e150, 1e160):
+            currents = rng.uniform(-scale, scale, n)
+            with np.errstate(over="ignore"):
+                want = float(np.sqrt(np.mean(np.square(currents / 1000.0)))
+                             * GEAR.torque_constant)
+            got = rms_torque(make_log([0.0] * n, currents=currents), GEAR)
+            assert got == want
+            if scale == 1e160:
+                assert got == math.inf
 
 
 def test_rms_invariances_and_qm_am():
