@@ -155,34 +155,27 @@ class TorqueCurve(Record):
 # geometry
 # ---------------------------------------------------------------------------
 
+def _turn(u, v, angle):
+    """Turn the 3-tuples u and v by ``angle`` within their plane: (u cos - v sin, v cos + u sin)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return ((u[0] * c - v[0] * s, u[1] * c - v[1] * s, u[2] * c - v[2] * s),
+            (v[0] * c + u[0] * s, v[1] * c + u[1] * s, v[2] * c + u[2] * s))
+
+
 def wrist_geometry(posture: ArmPosture,
                    convention: KinematicConvention = DEFAULT_CONVENTION):
     """Deviation axis and neutral hand direction for a posture.
 
-    Returns ``(axis, hand_dir)``, unit 3-vectors: the abduction-positive
-    deviation axis (right-hand rule) and the hand long axis at zero wrist
-    angle.
+    Returns ``(axis, hand_dir)``, unit 3-vectors as tuples of floats: the abduction-positive
+    deviation axis (right-hand rule) and the hand long axis at zero wrist angle.
     """
     phi = posture.shoulder_flexion + posture.elbow_flexion
-    fore = np.array([math.sin(phi), 0.0, -math.cos(phi)])
-    lateral = np.array([0.0, 1.0, 0.0])
-    w = np.array([math.cos(phi), 0.0, math.sin(phi)])  # fore x lateral
-
-    c, s = math.cos(convention.carrying_angle), math.sin(convention.carrying_angle)
-    fore, lateral = fore * c - lateral * s, lateral * c + fore * s
-    c, s = math.cos(posture.forearm_pronation), math.sin(posture.forearm_pronation)
-    palm = lateral * c + w * s
-    fore_x_palm = w * c - lateral * s  # grip extension leaves it fixed
-    c, s = math.cos(convention.grip_extension), math.sin(convention.grip_extension)
-    hand_dir, palm = fore * c - palm * s, palm * c + fore * s
-    c, s = math.cos(convention.axis_obliquity), math.sin(convention.axis_obliquity)
-    return palm * c + fore_x_palm * s, hand_dir
-
-
-def _require_chain(segments: dict) -> BodySegment:
-    if "hand" not in segments:
-        raise ConfigError("segment set is missing 'hand'")
-    return segments["hand"]
+    fore, lateral = _turn((math.sin(phi), 0.0, -math.cos(phi)), (0.0, 1.0, 0.0),
+                          convention.carrying_angle)
+    w = (math.cos(phi), 0.0, math.sin(phi))  # fore x lateral, before and after the carrying angle
+    fore_x_palm, palm = _turn(w, lateral, posture.forearm_pronation)  # grip extension keeps it
+    hand_dir, palm = _turn(fore, palm, convention.grip_extension)
+    return _turn(fore_x_palm, palm, convention.axis_obliquity)[1], hand_dir
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +207,16 @@ def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
     so it adds no moment (see the module doc).  A scalar ``wrist_angle``
     returns a float, an array of angles returns an array.
     """
-    hand = _require_chain(segments)
+    if "hand" not in segments:
+        raise ConfigError("segment set is missing 'hand'")
+    hand = segments["hand"]
     theta = np.asarray(wrist_angle)
     if theta.dtype.kind not in "biuf" or not np.isfinite(theta).all():
         raise DomainError("wrist_angle must be finite")
     g = check_real("g", g)
 
-    axis, hand_dir = wrist_geometry(posture, convention)
+    (kx, ky, _), (hx, hy, hz) = wrist_geometry(posture, convention)
     lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
-    (kx, ky, _), (hx, hy, hz) = axis.tolist(), hand_dir.tolist()
     # A and B in plain floats, as the module doc reduces them: no BLAS call, no np.cross
     a = lever * g * (kx * hy - ky * hx)
     b = -lever * g * hz

@@ -17,8 +17,8 @@ import math
 import os
 import warnings
 
-from .biomech import (HAND_MASS_FRACTION, ArmPosture, BodySegment, KinematicConvention,
-                      LoadSpec, MotionProfile, hand_mass_from_body)
+from .biomech import (_MAX_HAND_FRACTION, HAND_MASS_FRACTION, ArmPosture, BodySegment,
+                      KinematicConvention, LoadSpec, MotionProfile, hand_mass_from_body)
 from .errors import ConfigError, DataError, DomainError, Record, check_real
 from .springs import DEFAULT_CATALOG
 from .transmission import Gearing
@@ -35,7 +35,7 @@ DEFAULTS = {
         "hand_com_ratio": ("0.5", "[0, 1]"),
         "body_mass_kg": ("", "> 0"),                # gives the hand mass, in place of hand_mass_kg
         "sex": ("", sorted(HAND_MASS_FRACTION)),    # with body_mass_kg: the fraction by sex
-        "hand_mass_fraction": ("", "(0, 0.05)"),    # with body_mass_kg, in place of sex
+        "hand_mass_fraction": ("", f"(0, {_MAX_HAND_FRACTION})"),  # with body_mass_kg, not sex
     },
     "kinematics": {
         "axis_obliquity_deg": ("50", "finite"),
@@ -157,14 +157,10 @@ def _value(section, key, raw):
 
 
 def load_config(path=None) -> ToolkitConfig:
-    """Load and validate a config file; ``None`` gives pure defaults.  A relative
-    catalog path resolves against the config file's own directory."""
-    return _build(_read_ini(path), path)
-
-
-def _build(values, path) -> ToolkitConfig:
-    """The config from ``values`` whose keys each passed their own rule: degrees turn
-    into radians where the model takes them, and the rules between keys run."""
+    """Load and validate a config file; ``None`` gives pure defaults.  Once each key has
+    passed its own rule, degrees turn into radians where the model takes them and the
+    rules between keys run.  A relative catalog path resolves against the file's directory."""
+    values = _read_ini(path)
     seg = values["segments"]
     hand_mass, sex, fraction = seg["hand_mass_kg"], seg["sex"], seg["hand_mass_fraction"]
     if seg["body_mass_kg"] is not None:

@@ -81,13 +81,16 @@ class _RecordType(type):
     def __new__(mcls, name, bases, ns):
         # Python 3.14 defers annotations (PEP 649): 1 is annotationlib.Format.VALUE
         annotate = ns.get("__annotate__") or ns.get("__annotate_func__")
-        own = ns["__slots__"] = tuple(ns.get("__annotations__") or annotate and annotate(1) or ())
+        kinds = ns.get("__annotations__") or annotate and annotate(1) or {}
+        own = ns["__slots__"] = tuple(kinds)
         defaults = {field: ns.pop(field) for field in own if field in ns}
         cls = super().__new__(mcls, name, bases, ns)
         cls.__match_args__ = fields = getattr(cls, "__match_args__", ()) + own
         cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
         if fields:
             cls._values = property(operator.attrgetter(*fields))  # the field tuple
+        if any(getattr(kind, "__name__", "") == "ndarray" for kind in kinds.values()):
+            cls.__eq__ = cls._eq_by_element  # a tuple compare asks an array for its truth
         return cls
 
     @property
@@ -122,6 +125,14 @@ class Record(metaclass=_RecordType):
     def __eq__(self, other):
         same = other.__class__ is self.__class__
         return self._values == other._values if same else NotImplemented
+
+    def _eq_by_element(self, other):
+        """``__eq__`` of a record with an array field: equal arrays have equal shapes and elements,
+        so a NaN is unequal, as in a float field, unless both are one object, as in a tuple."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a is b or (a.shape == b.shape and (a == b).all() if hasattr(a, "shape")
+                              else a == b) for a, b in zip(self._values, other._values))
 
     def __hash__(self):
         return hash(self._values)

@@ -70,8 +70,7 @@ def fit_linear(curve: TorqueCurve) -> LinearFit:
     line through them (slope 0, R^2 1), and an SS_tot that underflows to 0 gives 1
     for an exact fit and 0 otherwise.  An overflowing sum raises :class:`DomainError`.
     """
-    x = np.asarray(curve.angles, dtype=float)
-    y = np.asarray(curve.moments, dtype=float)
+    x, y = curve.angles, curve.moments  # float arrays, as TorqueCurve stores them
     n = x.size
     if n < 2:
         raise DomainError("fit needs at least 2 samples")

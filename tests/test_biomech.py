@@ -56,9 +56,12 @@ def test_geometry_vectors_are_unit_and_orthogonal():
         convention = KinematicConvention(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5),
                                          rng.uniform(-0.3, 0.3))
         axis, hand_dir = wrist_geometry(posture, convention)
+        for vector in (axis, hand_dir):  # plain floats: no numpy array holds a 3-vector
+            assert type(vector) is tuple and len(vector) == 3
+            assert all(type(x) is float for x in vector)
         assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(hand_dir) == pytest.approx(1.0, abs=1e-12)
-        assert float(axis @ hand_dir) == pytest.approx(0.0, abs=1e-12)
+        assert float(np.dot(axis, hand_dir)) == pytest.approx(0.0, abs=1e-12)
 
 
 def _cross(a, b):

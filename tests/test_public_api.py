@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wristkit
+from wristkit.errors import Record
 
 
 def test_every_exported_name_resolves():
@@ -146,3 +147,41 @@ def test_a_value_type_is_a_frozen_record_compared_by_value(cls, args, defaults, 
 
 def test_a_record_keeps_no_instance_dict():
     assert [cls.__name__ for cls, args, *_ in _RECORDS if hasattr(cls(*args), "__dict__")] == []
+
+
+# The records whose fields hold arrays, at 2 and 3 samples: a 1-sample array answers a tuple
+# compare, a longer one refuses ("truth value ... ambiguous", "could not be broadcast")
+def _curve(n, label="P1", bump=0.0):
+    return wristkit.TorqueCurve([0.25 * i for i in range(n)], [1.5 + i + bump for i in range(n)],
+                                label)
+
+
+def _log(n, meta=_META, bump=0.0):
+    return wristkit.TrialLog([0.01 * i for i in range(n)], [1.5 + i + bump for i in range(n)],
+                             [2.5] * n, ("B2",) * n, meta)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [_curve, _log], ids=["TorqueCurve", "TrialLog"])
+def test_a_record_with_arrays_is_compared_by_shape_and_element(build, n):
+    record = build(n)
+    for same in (build(n), copy.copy(record), pickle.loads(pickle.dumps(record)), record):
+        assert same == record and not same != record
+    for other in (build(n, bump=1e-9), build(n + 1), build(n - 1), build(n, None)):
+        assert other != record and not other == record and not record == other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def test_a_nan_sample_is_unequal_as_a_nan_float_field_is():
+    first, second = (wristkit.TrialLog([0.0, 0.01, 0.02], [1.5, float("nan"), 2.5], [2.5] * 3,
+                                       ("",) * 3) for _ in range(2))
+    assert first != second and not first == second
+    assert first == first  # as in a tuple, an object is equal to itself
+    assert (wristkit.TrialMetrics(1.0, 2.0, 3.0, float("nan"), 5, 0.0)
+            != wristkit.TrialMetrics(1.0, 2.0, 3.0, float("nan"), 5, 0.0))
+
+
+def test_only_a_record_with_arrays_leaves_the_tuple_compare():
+    by_element = [cls.__name__ for cls, *_ in _RECORDS if cls.__eq__ is not Record.__eq__]
+    assert by_element == ["TorqueCurve", "TrialLog"]
