@@ -76,21 +76,21 @@ def check_fields(obj, prefix: str = "", **rules):
 
 class _RecordType(type):
     """Makes the annotated names of a :class:`Record` subclass, after its base's, its fields:
-    its ``__slots__`` and ``__match_args__``.  A class attribute so named is a default."""
+    its ``__slots__``, ``__match_args__`` and the ``_values`` tuple.  A class attribute so
+    named is a default.  What a field is annotated with changes nothing."""
 
     def __new__(mcls, name, bases, ns):
         # Python 3.14 defers annotations (PEP 649): 1 is annotationlib.Format.VALUE
         annotate = ns.get("__annotate__") or ns.get("__annotate_func__")
-        kinds = ns.get("__annotations__") or annotate and annotate(1) or {}
-        own = ns["__slots__"] = tuple(kinds)
+        names = ns.get("__annotations__") or annotate and annotate(1) or {}
+        own = ns["__slots__"] = tuple(names)
         defaults = {field: ns.pop(field) for field in own if field in ns}
         cls = super().__new__(mcls, name, bases, ns)
         cls.__match_args__ = fields = getattr(cls, "__match_args__", ()) + own
         cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
-        if fields:
-            cls._values = property(operator.attrgetter(*fields))  # the field tuple
-        if any(getattr(kind, "__name__", "") == "ndarray" for kind in kinds.values()):
-            cls.__eq__ = cls._eq_by_element  # a tuple compare asks an array for its truth
+        # the field tuple; attrgetter of one name returns the bare value, of none refuses
+        cls._values = property(operator.attrgetter(*fields) if len(fields) > 1
+                               else lambda self: tuple(getattr(self, f) for f in fields))
         return cls
 
     @property
@@ -102,7 +102,9 @@ class _RecordType(type):
 
 class Record(metaclass=_RecordType):
     """A frozen value type, built from its fields by position or keyword, then checked by
-    ``__post_init__``; compared (with its own class only), hashed and printed by value."""
+    ``__post_init__``; compared (with its own class only), hashed and printed by value.
+    Fields compare as in a tuple, but a field that holds an array of one or more dimensions
+    (a nonzero ``ndim``) equals only an array of that shape whose every element is equal."""
 
     def __init__(self, *args, **kwargs):
         fields = self.__match_args__
@@ -123,26 +125,22 @@ class Record(metaclass=_RecordType):
         """Check the fields, storing a normalised value with ``object.__setattr__``."""
 
     def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._values == other._values if same else NotImplemented
-
-    def _eq_by_element(self, other):
-        """``__eq__`` of a record with an array field: equal arrays have equal shapes and elements,
-        so a NaN is unequal, as in a float field, unless both are one object, as in a tuple."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(a is b or (a.shape == b.shape and (a == b).all() if hasattr(a, "shape")
-                              else a == b) for a, b in zip(self._values, other._values))
+        return all(a is b or (a == b if not (getattr(a, "ndim", 0) or getattr(b, "ndim", 0))
+                              else getattr(a, "shape", None) == getattr(b, "shape", None)
+                              and (a == b).all())
+                   for a, b in zip(self._values, other._values))
 
     def __hash__(self):
         return hash(self._values)
 
     def __repr__(self):
-        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        values = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values))
         return f"{type(self).__qualname__}({values})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        return type(self), self._values
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

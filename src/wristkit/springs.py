@@ -31,7 +31,7 @@ class LinearFit(Record):
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 2:
+        if not self.n_points >= 2:
             raise DomainError(f"fit needs at least 2 points, got {self.n_points}")
         if not -_R2_TOL <= self.r_squared <= 1.0 + _R2_TOL:
             raise DomainError(f"r_squared out of [0, 1]: {self.r_squared}")

@@ -51,7 +51,7 @@ class TrialMeta(Record):
             raise DomainError("participant, posture, and spring labels must be non-empty")
         if self.load not in LOADS:
             raise DomainError(f"load must be one of {LOADS}, got {self.load!r}")
-        if self.trial_index < 1:
+        if not self.trial_index >= 1:
             raise DomainError(f"trial_index must be >= 1, got {self.trial_index}")
 
     def condition(self) -> tuple:
@@ -108,13 +108,13 @@ class TrialMetrics(Record):
     meta: TrialMeta | None = None
 
     def __post_init__(self):
-        if self.rom_ab < 0 or self.rom_ad < 0:
+        if not (self.rom_ab >= 0 and self.rom_ad >= 0):
             raise DomainError("ROM components must be >= 0")
         if self.rom_total != self.rom_ab + self.rom_ad:
             raise DomainError("rom_total must equal rom_ab + rom_ad exactly")
-        if self.tau_rms < 0:
+        if not self.tau_rms >= 0:
             raise DomainError("tau_rms must be >= 0")
-        if self.n_samples < 1:
+        if not self.n_samples >= 1:
             raise DomainError("n_samples must be >= 1")
         if not 0.0 <= self.interpolated_fraction <= 1.0:
             raise DomainError("interpolated_fraction must lie in [0, 1]")

@@ -17,7 +17,8 @@ from wristkit.biomech import (ArmPosture, BodySegment, KinematicConvention, Load
                               wrist_reaction_moment)
 from wristkit.cli import main
 from wristkit.errors import DomainError
-from wristkit.springs import SpringCatalogEntry, catalog_match, stiffness_to_nmm_per_deg
+from wristkit.springs import (LinearFit, SpringCatalogEntry, catalog_match,
+                              stiffness_to_nmm_per_deg)
 from wristkit.transmission import CableRoute, Gearing, SpringSpec, capstan_transmit
 from wristkit.trials import (LikertResponse, TrialMeta, TrialMetrics, aggregate_report,
                              joint_torque_estimate)
@@ -98,9 +99,22 @@ MESSAGES = [
            "stiffness must be > 0, got {v}", NONPOSITIVE),
     *_rows("catalog-target", catalog_match,
            "target stiffness must be > 0, got {v}", NONPOSITIVE),
+    # hand-written checks state the range they accept, so NaN gets the field's own message
+    *_rows("fit-points", lambda v: LinearFit(1.0, 0.0, 0.5, v),
+           "fit needs at least 2 points, got {v}", (1, NAN)),
     # trials
     *_rows("joint-torque", lambda v: joint_torque_estimate(v, Gearing()),
            "tau_motor must be >= 0, got {v}", NEGATIVE),
+    *_rows("trial-index", lambda v: TrialMeta("P1", "POS1", "unloaded", "S1", v),
+           "trial_index must be >= 1, got {v}", (0, NAN)),
+    *_rows("rom-ab", lambda v: TrialMetrics(v, 2.0, 3.0, 0.5, 5, 0.0),
+           "ROM components must be >= 0", (-1.0, NAN)),
+    *_rows("rom-ad", lambda v: TrialMetrics(1.0, v, 3.0, 0.5, 5, 0.0),
+           "ROM components must be >= 0", (-1.0, NAN)),
+    *_rows("tau-rms", lambda v: TrialMetrics(1.0, 2.0, 3.0, v, 5, 0.0),
+           "tau_rms must be >= 0", (-1.0, NAN)),
+    *_rows("metrics-samples", lambda v: TrialMetrics(1.0, 2.0, 3.0, 0.5, v, 0.0),
+           "n_samples must be >= 1", (0, NAN)),
 ]
 
 

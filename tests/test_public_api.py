@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wristkit
@@ -178,10 +179,66 @@ def test_a_nan_sample_is_unequal_as_a_nan_float_field_is():
                                        ("",) * 3) for _ in range(2))
     assert first != second and not first == second
     assert first == first  # as in a tuple, an object is equal to itself
-    assert (wristkit.TrialMetrics(1.0, 2.0, 3.0, float("nan"), 5, 0.0)
-            != wristkit.TrialMetrics(1.0, 2.0, 3.0, float("nan"), 5, 0.0))
+    assert (wristkit.FriedmanResult(float("nan"), 0.5, 2)
+            != wristkit.FriedmanResult(float("nan"), 0.5, 2))
 
 
-def test_only_a_record_with_arrays_leaves_the_tuple_compare():
-    by_element = [cls.__name__ for cls, *_ in _RECORDS if cls.__eq__ is not Record.__eq__]
-    assert by_element == ["TorqueCurve", "TrialLog"]
+def test_every_record_has_the_one_equality():
+    assert [cls.__name__ for cls, *_ in _RECORDS if cls.__eq__ is not Record.__eq__] == []
+
+
+# How a field is declared does not change how it compares: an array field equals only an
+# array of its shape whose every element is equal, under any annotation or none
+def test_an_array_field_under_postponed_annotations_is_compared_by_element():
+    from deferred_records import Deferred
+    assert Deferred.__annotations__ == {"samples": "np.ndarray", "label": "str"}
+    record = Deferred(np.array([1.0, 2.0]), "a")
+    assert record == Deferred(np.array([1.0, 2.0]), "a") and not record != record
+    for other in (Deferred(np.array([1.0, 2.5]), "a"), Deferred(np.array([1.0, 2.0, 3.0]), "a"),
+                  Deferred(np.array([1.0, 2.0]), "b")):
+        assert other != record and not record == other
+
+
+class _Optional(Record):
+    samples: np.ndarray | None
+    label: str = ""
+
+
+class _OptionalAlone(Record):
+    samples: np.ndarray | None
+
+
+@pytest.mark.parametrize("cls", [_Optional, _OptionalAlone])
+def test_an_optional_array_field_is_compared_by_element(cls):
+    array = cls(np.array([1.0, 2.0]))
+    assert array == cls(np.array([1.0, 2.0])) and cls(None) == cls(None)
+    for other in (cls(None), cls(np.array([1.0, 2.5])), cls(np.array([[1.0, 2.0]]))):
+        assert other != array and array != other and not array == other
+    assert hash(cls(None)) == hash(cls(None))
+
+
+class _One(Record):
+    samples: np.ndarray
+
+
+def test_a_one_field_array_is_unequal_to_an_array_of_another_length():
+    short, long = _One(np.array([1.0, 2.0])), _One(np.array([1.0, 2.0, 3.0]))
+    assert short != long and long != short and not short == long
+    assert short == _One(np.array([1.0, 2.0])) and short._values[0] is short.samples
+
+
+def test_a_numpy_scalar_field_compares_as_in_a_tuple():
+    # as fit_linear's intercept can be: a numpy float64 has a shape, (), but holds one number
+    fit = wristkit.LinearFit(-1.5, np.float64(0.25), 0.875, 50)
+    assert fit == wristkit.LinearFit(-1.5, 0.25, 0.875, 50) == fit
+    assert _One(np.array(2.0)) == _One(2.0) and _One(np.array([2.0])) != _One(2.0)
+
+
+class _Empty(Record):
+    pass
+
+
+def test_a_record_with_no_fields_equals_its_kind_and_hashes():
+    assert _Empty() == _Empty() and not _Empty() != _Empty() and _Empty()._values == ()
+    assert hash(_Empty()) == hash(()) and len({_Empty(), _Empty()}) == 1
+    assert repr(_Empty()) == "_Empty()" and pickle.loads(pickle.dumps(_Empty())) == _Empty()
