@@ -12,12 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data error, 3 config error.
 """
 
-import argparse
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fileio, springs, trials
 from .biomech import ArmPosture, sweep_torque_curve
@@ -27,56 +28,101 @@ from .transmission import pretension_torque
 
 MAX_SAMPLES = 1_000_000  # simulate --samples: refused above it, before numpy allocates
 
+# The command line, stated once: each command's help, then its arguments (a flag, or a
+# positional's dest) with the keywords build_parser passes to add_argument.
+_COMMANDS = {
+    "simulate": ("sweep the arm model into torque-curve CSVs", {
+        "--posture": dict(default="all", choices=["P1", "P2", "P3", "all", "custom"]),
+        "--samples": dict(type=int, default=50, help=f"samples across the motion range, "
+                                                     f"2 to {MAX_SAMPLES:,} (default 50)"),
+        "--out": dict(required=True, metavar="PATH",
+                      help="output CSV (or directory when --posture all)"),
+        **{flag: dict(type=float, help=f"custom posture only; a negative value in exponent "
+                                       f"form is written {flag}=-1e1")
+           for flag in ("--shoulder-deg", "--elbow-deg", "--pronation-deg")}}),
+    "fit": ("fit curves and size the spring", {
+        "curves": dict(nargs="+", metavar="CURVE_CSV"),
+        "--catalog": dict(metavar="PATH", help="spring catalog CSV (overrides config)"),
+        "--out": dict(metavar="PATH", help="design report JSON (default: stdout)")}),
+    "analyze": ("analyze a directory of trial logs", {
+        "trial_dir": dict(metavar="TRIAL_DIR"),
+        "--out": dict(default="report.json", metavar="PATH",
+                      help="study report JSON (default: report.json)"),
+        "--plots-dir": dict(metavar="DIR",
+                            help="where to write plot CSVs (default: alongside --out)")}),
+    "report": ("re-render plot CSVs from a report JSON", {
+        "report": dict(metavar="REPORT_JSON"),
+        "--plots-dir": dict(metavar="DIR",
+                            help="where to write plot CSVs (default: alongside the report)")}),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; our contract reserves 2 for data."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+def build_parser():
+    """argparse's parser for the table above, for help, usage errors and other spellings."""
+    import argparse  # here, so that a plain command line loads neither it nor locale
 
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; our contract reserves 2 for data."""
 
-def build_parser() -> argparse.ArgumentParser:
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="wristkit", description=__doc__.splitlines()[0])
     parser.add_argument("--config", metavar="PATH",
                         help="toolkit config file (INI); defaults apply when omitted")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_sim = sub.add_parser("simulate", help="sweep the arm model into torque-curve CSVs")
-    p_sim.add_argument("--posture", default="all",
-                       choices=["P1", "P2", "P3", "all", "custom"])
-    p_sim.add_argument("--samples", type=int, default=50,
-                       help=f"samples across the motion range, 2 to {MAX_SAMPLES:,} "
-                            f"(default 50)")
-    p_sim.add_argument("--out", required=True, metavar="PATH",
-                       help="output CSV (or directory when --posture all)")
-    for flag in ("--shoulder-deg", "--elbow-deg", "--pronation-deg"):
-        p_sim.add_argument(flag, type=float, help=f"custom posture only; a negative value in "
-                                                  f"exponent form is written {flag}=-1e1")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_fit = sub.add_parser("fit", help="fit curves and size the spring")
-    p_fit.add_argument("curves", nargs="+", metavar="CURVE_CSV")
-    p_fit.add_argument("--catalog", metavar="PATH",
-                       help="spring catalog CSV (overrides config)")
-    p_fit.add_argument("--out", metavar="PATH",
-                       help="design report JSON (default: stdout)")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_an = sub.add_parser("analyze", help="analyze a directory of trial logs")
-    p_an.add_argument("trial_dir", metavar="TRIAL_DIR")
-    p_an.add_argument("--out", default="report.json", metavar="PATH",
-                      help="study report JSON (default: report.json)")
-    p_an.add_argument("--plots-dir", metavar="DIR",
-                      help="where to write plot CSVs (default: alongside --out)")
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_rep = sub.add_parser("report", help="re-render plot CSVs from a report JSON")
-    p_rep.add_argument("report", metavar="REPORT_JSON")
-    p_rep.add_argument("--plots-dir", metavar="DIR",
-                       help="where to write plot CSVs (default: alongside the report)")
-    p_rep.set_defaults(func=cmd_report)
+    for name, (help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments.items():
+            command.add_argument(argument, **keywords)
+        command.set_defaults(func=globals()[f"cmd_{name}"])  # the module's cmd_* as it is now
     return parser
+
+
+# A token argparse reads as a value: one not starting with "-", or a negative decimal.
+_VALUE = re.compile(r"(?!-)|-\d+\Z|-\d*\.\d+\Z")
+
+
+def _plain_args(argv):
+    """The namespace argparse gives a plainly written command line, else None.
+
+    Plain is ``[--config VALUE] COMMAND``, then the command's flags by their full names,
+    each with its value after it, and one run of positionals.  Anything else is left to
+    argparse, so its messages and exit codes stay its own.
+    """
+    if not all(isinstance(token, str) for token in argv):
+        return None
+    config, argv = (argv[1], argv[2:]) if argv[1:] and argv[0] == "--config" else (None, argv)
+    if config is not None and not _VALUE.match(config) or not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments, given, run, i = _COMMANDS[argv[0]][1], {}, [], 1  # given: each flag's values
+    while i < len(argv):
+        if _VALUE.match(argv[i]) and (not run or run[-1] == i - 1):  # one run of positionals
+            run.append(i)
+            i += 1
+        elif argv[i] in arguments and argv[i + 1:] and _VALUE.match(argv[i + 1]):
+            given.setdefault(argv[i], []).append(argv[i + 1])
+            i += 2
+        else:
+            return None
+    args = {"config": config, "command": argv[0], "func": globals()[f"cmd_{argv[0]}"]}
+    for argument, keywords in arguments.items():
+        texts = given.get(argument, [])  # argparse converts each, and keeps the last
+        if argument[0] != "-":  # the run: one value, or one or more for nargs "+"
+            texts, run = [argv[i] for i in run], []
+            if not texts or len(texts) > 1 and "nargs" not in keywords:
+                return None
+        try:
+            values = [keywords.get("type", str)(text) for text in texts]
+        except ValueError:
+            return None
+        if (keywords.get("required") and not values
+                or any(value not in keywords.get("choices", [value]) for value in values)):
+            return None
+        args[argument.lstrip("-").replace("-", "_")] = (
+            values if "nargs" in keywords else values[-1] if values else keywords.get("default"))
+    return None if run else SimpleNamespace(**args)
 
 
 def _curve_summary(curve) -> str:
@@ -235,8 +281,8 @@ def _one_line_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     # warnings print as one line each; whoever records them still sees them
     default_format = warnings.formatwarning
     warnings.formatwarning = _one_line_warning

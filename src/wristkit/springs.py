@@ -75,8 +75,8 @@ def fit_linear(curve: TorqueCurve) -> LinearFit:
     if n < 2:
         raise DomainError("fit needs at least 2 samples")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows fails below
-        xm = x.mean()
-        ym = y.mean()
+        xm = float(x.mean())  # Python floats, so the fit holds no numpy scalar
+        ym = float(y.mean())
         sxx = float(((x - xm) ** 2).sum())
         if sxx == 0.0:
             raise DomainError("fit needs at least 2 distinct angles")

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wristkit.cli import MAX_SAMPLES, main
+from wristkit.cli import MAX_SAMPLES, _plain_args, build_parser, main
 from wristkit import fileio
 
 import corpus
@@ -708,6 +709,129 @@ def test_only_analyze_runs_the_trial_analysis_code(tmp_path, design_files, corpu
     argv = [a.format(tmp=tmp_path, design=design_files, corpus=corpus_dir) for a in argv]
     done = _python(["-c", _RAN_TRIALS, *argv])
     assert done.stdout.splitlines()[-1] == ran, done.stderr
+
+
+# Command lines written plainly: the benchmark's design sweep (seed 1) and study analysis,
+# then README's quick start.  main() reads each without argparse.
+_PLAIN_ARGV = [
+    ["--config", "design.ini", "simulate", "--posture", "all", "--samples", "2000",
+     "--out", "out/curves"],
+    ["--config", "design.ini", "fit", "out/curves/P1.csv", "out/curves/P2.csv",
+     "out/curves/P3.csv", "--out", "out/design_presets.json"],
+    ["--config", "design.ini", "simulate", "--posture", "custom", "--samples", "2000",
+     "--shoulder-deg", "71.0", "--elbow-deg", "88.4", "--pronation-deg", "11.0",
+     "--out", "out/curves/C1.csv"],
+    ["--config", "design.ini", "simulate", "--posture", "custom", "--samples", "2000",
+     "--shoulder-deg", "21.5", "--elbow-deg", "33.5", "--pronation-deg", "-72.0",
+     "--out", "out/curves/C2.csv"],
+    ["--config", "design.ini", "fit", "out/curves/P1.csv", "out/curves/P2.csv",
+     "out/curves/P3.csv", "out/curves/C1.csv", "out/curves/C2.csv",
+     "--out", "out/design_all.json"],
+    ["analyze", "trials", "--out", "out/report.json"],
+    ["simulate", "--posture", "all", "--out", "curves/"],
+    ["fit", "curves/P1.csv", "curves/P2.csv", "curves/P3.csv", "--out", "design.json"],
+    ["analyze", "trials/", "--out", "report/report.json"],
+    ["report", "report/report.json", "--plots-dir", "plots/"],
+]
+_FLAGS = {"simulate": ["--posture", "--samples", "--out", "--shoulder-deg", "--elbow-deg",
+                       "--pronation-deg"],
+          "fit": ["--catalog", "--out"], "analyze": ["--out", "--plots-dir"],
+          "report": ["--plots-dir"]}
+_VALUES = ["", "x.csv", "P1", "all", "custom", "5", " 7 ", "1_0", "0x10", "-10", "-1e1", "nan",
+           "1e3"]
+# the commands, every full flag name, spellings only argparse reads, and the values
+_TOKENS = [*_FLAGS, "--config", *_FLAGS["simulate"], "--catalog", "--plots-dir",
+           "--ou", "--samp", "--out=x", "-h", "--help", "--", "-", *_VALUES]
+
+
+@st.composite
+def _argv(draw):
+    """Any tokens, or (3 times in 4) a command line shaped like a plain one, with (1 time
+    in 4) a token put in it."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    command = draw(st.sampled_from(list(_FLAGS)))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_FLAGS[command]), st.sampled_from(_VALUES)),
+                          max_size=5))
+    if command == "simulate" and draw(st.integers(0, 3)):  # its --out is required
+        pairs.append(("--out", draw(st.sampled_from(_VALUES))))
+    flags = [token for pair in pairs for token in pair]
+    at = 2 * draw(st.integers(0, len(pairs)))
+    config = draw(st.one_of(st.just([]), st.sampled_from(_VALUES).map(lambda v: ["--config", v])))
+    argv = [*config, command,
+            *flags[:at], *draw(st.lists(st.sampled_from(_VALUES), max_size=2)), *flags[at:]]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+def _fields(args):  # repr: a NaN angle equals itself
+    return repr(sorted(vars(args).items()))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_argv())
+@example(["--config", "--out", "report", "r.json"])  # a flag is no --config value
+@example(["simulate", "--samples", "", "--samples", "5", "--out", "x"])  # each value must pass
+def test_a_command_line_read_without_argparse_reads_as_argparse_reads_it(argv):
+    plain = _plain_args(argv)
+    if plain is not None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}")
+        assert _fields(plain) == _fields(args)
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGV)
+def test_plainly_written_command_lines_are_read_without_argparse(argv):
+    plain = _plain_args(argv)
+    assert plain is not None
+    assert _fields(plain) == _fields(build_parser().parse_args(argv))
+
+
+# Ends a CLI call with its exit code and which of argparse, gettext and locale it loaded,
+# counted from after numpy's import.
+_LOADED_ARGPARSE = ("import sys\n"
+                    "import numpy\n"
+                    "before = set(sys.modules)\n"
+                    "from wristkit.cli import main\n"
+                    "rc = main(sys.argv[1:])\n"
+                    "print(rc, *sorted({'argparse', 'gettext', 'locale'}\n"
+                    "                  & (sys.modules.keys() - before)))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--posture", "all", "--out", "{tmp}/curves"],
+    ["fit", "{design}/curves/P1.csv", "{design}/curves/P2.csv", "{design}/curves/P3.csv",
+     "--out", "{tmp}/design.json"],
+    ["analyze", "{corpus}", "--out", "{tmp}/report.json"],
+    ["report", "{design}/report.json", "--plots-dir", "{tmp}/plots"],
+], ids=["simulate", "fit", "analyze", "report"])
+def test_a_plain_command_line_loads_no_argparse(tmp_path, design_files, corpus_dir, argv):
+    argv = [a.format(tmp=tmp_path, design=design_files, corpus=corpus_dir) for a in argv]
+    done = _python(["-c", _LOADED_ARGPARSE, *argv])
+    assert done.stdout.splitlines()[-1] == "0", done.stderr
+
+
+def test_help_and_usage_errors_still_go_through_argparse(tmp_path):
+    assert _python(["-m", "wristkit", "--help"]).returncode == 0
+    # 80 columns and no colour (argparse colours its messages from Python 3.14)
+    env = {**os.environ, "COLUMNS": "80", "PYTHON_COLORS": "0",
+           "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "wristkit", "simulate", "--posture", "P9",
+                           "--out", str(tmp_path / "x")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    usage = ("usage: wristkit simulate [-h] [--posture {{P1,P2,P3,all,custom}}]\n"
+             "                         [--samples SAMPLES] --out PATH\n"
+             "                         [--shoulder-deg SHOULDER_DEG] [--elbow-deg ELBOW_DEG]\n"
+             "                         [--pronation-deg PRONATION_DEG]\n"
+             "wristkit simulate: error: argument --posture: invalid choice: 'P9' (choose from "
+             "{})\n")
+    # newer argparse releases print the choices with str(), not repr()
+    assert done.stderr in {usage.format("'P1', 'P2', 'P3', 'all', 'custom'"),
+                           usage.format("P1, P2, P3, all, custom")}
+    assert (done.returncode, done.stdout) == (1, "")
 
 
 def test_an_empty_out_path_is_an_output_path(tmp_path, capsys, monkeypatch, corpus_dir):

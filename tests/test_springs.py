@@ -33,6 +33,13 @@ def test_fit_two_points():
     assert fit.r_squared == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("moments", [[1.0, 2.0, 4.0], [3.0, 3.0, 3.0]])
+def test_fit_holds_python_numbers_only(moments):
+    fit = fit_linear(TorqueCurve([0.0, 1.0, 2.0], moments))
+    assert [type(getattr(fit, name)) for name in fit.__match_args__] == [float, float, float, int]
+    assert "np." not in repr(fit)
+
+
 def test_fit_matches_normal_equations_oracle_on_noisy_data():
     rng = random.Random(2024)
     angles = np.linspace(-0.7, 0.5, 100)
