@@ -110,12 +110,14 @@ class Record(metaclass=_RecordType):
         fields = self.__match_args__
         if kwargs or len(args) != len(fields):  # bind by name, a default for a field not given
             rest, given = fields[len(args):], {**self._defaults, **kwargs}
-            extra = [*args[len(fields):], *(name for name in kwargs if name not in rest)]
-            missing = [name for name in rest if name not in given]
-            if extra or missing:  # an argument too many, a name that is no field or given twice
-                what = "got an unexpected" if extra else "missing"
-                raise TypeError(f"{type(self).__qualname__}() {what} argument "
-                                f"{(extra or missing)[0]!r}")
+            faults = [f"got {'multiple values for' if name in fields else 'an unexpected'} "
+                      f"argument {name!r}" for name in kwargs if name not in rest]
+            if len(args) > len(fields):  # checked after the keywords, as Python does
+                faults.append(f"takes {len(fields)} positional argument{'s' * (len(fields) != 1)} "
+                              f"but {len(args)} {'was' if len(args) == 1 else 'were'} given")
+            faults += [f"missing argument {name!r}" for name in rest if name not in given]
+            if faults:
+                raise TypeError(f"{type(self).__qualname__}() {faults[0]}")
             args += tuple(given[name] for name in rest)
         for field, value in zip(fields, args):
             object.__setattr__(self, field, value)

@@ -39,12 +39,18 @@ TRIAL_NAME_RE = re.compile(
     r"^P(?P<participant>[^_]+)_POS(?P<posture>\d+)_(?P<load>.+)_"
     r"(?P<spring>S[^_]+)_T(?P<trial>\d+)\.csv$")
 
-_CURVE_HEADER = ["angle_rad", "moment_Nm"]
-_CATALOG_HEADER = ["name", "stiffness_Nmm_per_deg"]
-_TRIAL_HEADER = ["t_s", "angle_deg", "current_mA", "button"]
-_LIKERT_HEADER = ["participant", "item", "score"]
+# a sample file's loadtxt fields, named as its header (U3: a longer label reads as unknown)
+_CURVE = np.dtype([("angle_rad", float), ("moment_Nm", float)])
+_TRIAL = np.dtype([("t_s", float), ("angle_deg", float), ("current_mA", float), ("button", "U3")])
+_CATALOG_HEADER = ("name", "stiffness_Nmm_per_deg")
+_LIKERT_HEADER = ("participant", "item", "score")
 _NOT_PLAIN = '"\t \x00\x0b\x0c\x1c\x1d\x1e'  # quote, tab, space, NUL, line breaks but "\n"
-_BOX_KEYS = ("min", "q1", "median", "q3", "max", "n")  # box-plot row of a report
+_BOX = {key: key for key in ("min", "q1", "median", "q3", "max", "n")}  # column: report key
+# each plot CSV: file, report section, a label column per level of nesting, value column: key
+_PLOTS = (("rom_boxplot.csv", "rom_total_deg", ("spring",), _BOX),
+          ("torque_boxplot.csv", "tau_rms_nm", ("spring",), _BOX),
+          ("repeatability.csv", "repeatability", ("spring", "posture"),
+           {"mean_delta_deg": "mean", "sd_delta_deg": "sd", "n": "n"}))
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
 _SCALARS = (str, int, float, type(None))  # rendered by _json whole; any other child is walked
 _CSV_CHUNK = 512  # CSV lines per write: as fast as one join, without a whole-file copy
@@ -102,7 +108,7 @@ def _records(path, text, header, parse) -> list:
         first = next(reader, None)
         if first is None:
             raise DataError(f"{path}: file is empty")
-        if [h.strip() for h in first] != header:
+        if tuple(h.strip() for h in first) != header:
             raise DataError(f"{path}:1: expected header {','.join(header)!r}, "
                             f"got {','.join(first)!r}")
         for row in reader:
@@ -117,16 +123,16 @@ def _records(path, text, header, parse) -> list:
     return records
 
 
-def _plain_table(text, header, dtype):
-    """The ``loadtxt`` table of plainly written CSV ``text``, or None for non-ASCII
-    text, a character of ``_NOT_PLAIN``, another header, no row, an over-long line, a
-    row of another cell count or a number ``loadtxt`` rejects.  ``loadtxt`` parses
+def _plain_table(text, dtype):
+    """The ``loadtxt`` table of plainly written CSV ``text``, or None for non-ASCII text, a
+    character of ``_NOT_PLAIN``, a header other than ``dtype``'s names, no row, an over-long
+    line, a row of another cell count or a number ``loadtxt`` rejects.  ``loadtxt`` parses
     with the C core of ``float``, so ``_records`` agrees on every table returned."""
     lines = text.split("\n")
     rows = lines[1:]
     limit = csv.field_size_limit()
     if (not text.isascii() or any(char in text for char in _NOT_PLAIN)  # "\n" ends lines
-            or lines[0] != ",".join(header) or not any(rows)  # loadtxt warns
+            or lines[0] != ",".join(dtype.names) or not any(rows)  # loadtxt warns
             or len(text) > limit and max(map(len, lines)) > limit):
         return None
     try:
@@ -135,7 +141,7 @@ def _plain_table(text, header, dtype):
         return None
 
 
-def _read_columns(path, header, dtype, parse, build):
+def _read_columns(path, dtype, parse, build):
     """``build(*columns)`` of the CSV file at ``path``, read from disk once.  A plain file
     (see ``_plain_table``; blank cells spelled ``nan`` first) is parsed in whole columns,
     each float one copied, not a strided view, so it sums as the row reader's does.  One it
@@ -143,15 +149,14 @@ def _read_columns(path, header, dtype, parse, build):
     ``_records`` from the same text, which names the bad row or the file."""
     text = _read_text(path)  # ",," is in no header, and a curve row holding it has 3+ cells
     plain = text.replace(",,", ",nan,")  # ",,," needs a second pass: ",nan,," after one
-    table = _plain_table(plain.replace(",,", ",nan,") if len(plain) != len(text) else plain,
-                         header, dtype)
+    table = _plain_table(plain.replace(",,", ",nan,") if len(plain) != len(text) else plain, dtype)
     if table is not None:
         with suppress(DomainError):  # a list: star-unpacking a generator left more heap
-            return build(*[table[name].copy() if kind is float else table[name].tolist()
-                           for name, kind in dtype])
-    rows = _records(path, text, header, parse)
+            return build(*[table[name].copy() if dtype[name].kind == "f" else table[name].tolist()
+                           for name in dtype.names])
+    rows = _records(path, text, dtype.names, parse)
     try:
-        return build(*(zip(*rows) if rows else [()] * len(header)))
+        return build(*(zip(*rows) if rows else [()] * len(dtype)))
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -187,18 +192,18 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _curve_point(cells) -> tuple:
-    return _number("angle_rad", cells[0]), _number("moment_Nm", cells[1])
+    return tuple(map(_number, _CURVE.names, cells))
 
 
 def read_torque_curve(path, posture_label: str = "") -> TorqueCurve:
-    return _read_columns(path, _CURVE_HEADER, [("angle", float), ("moment", float)],
-                         _curve_point, lambda *columns: TorqueCurve(*columns, posture_label))
+    return _read_columns(path, _CURVE, _curve_point,
+                         lambda *columns: TorqueCurve(*columns, posture_label))
 
 
 def write_torque_curve(path, curve: TorqueCurve) -> None:
     """Each ``_CSV_CHUNK``-row slice of the columns becomes Python floats as it is written."""
     chunks = (slice(i, i + _CSV_CHUNK) for i in range(0, len(curve.angles), _CSV_CHUNK))
-    _write_csv(path, _CURVE_HEADER, chain.from_iterable(
+    _write_csv(path, _CURVE.names, chain.from_iterable(
         zip(map(repr, curve.angles[s].tolist()), map(repr, curve.moments[s].tolist()))
         for s in chunks))
 
@@ -245,9 +250,8 @@ def parse_trial_filename(name: str) -> trials.TrialMeta | None:
 
 
 def _trial_sample(cells) -> tuple:
-    t, angle, current, button = cells
-    sample = (_number("t_s", t), _number("angle_deg", angle, math.nan),
-              _number("current_mA", current, math.nan), button)
+    button = cells[3]  # a blank time is an error, a blank angle or current NaN
+    sample = (*map(_number, _TRIAL.names, cells, (None, math.nan, math.nan)), button)
     if button not in trials.BUTTONS:
         raise ValueError(f"unknown button {button!r}")
     return sample
@@ -255,15 +259,14 @@ def _trial_sample(cells) -> tuple:
 
 def read_trial_log(path, meta: trials.TrialMeta | None = None) -> trials.TrialLog:
     """Read a trial log; empty angle/current cells become NaN (missing)."""
-    return _read_columns(path, _TRIAL_HEADER, [("t", float), ("angle", float), ("current", float),
-                         ("button", "U3")], _trial_sample,  # U3: a longer label is unknown
+    return _read_columns(path, _TRIAL, _trial_sample,
                          lambda *columns: trials.TrialLog(*columns, meta))
 
 
 def write_trial_log(path, log: trials.TrialLog) -> None:
     def cell(value):  # a finite value reads back bit for bit; any other is blank
         return repr(float(value)) if math.isfinite(value) else ""
-    _write_csv(path, _TRIAL_HEADER,
+    _write_csv(path, _TRIAL.names,
                ((cell(t), cell(a), cell(i), b)
                 for t, a, i, b in zip(log.time, log.angle_deg, log.current_ma, log.button)))
 
@@ -343,9 +346,8 @@ def read_report(path) -> dict:
         raise DataError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(report, dict):
         raise DataError(f"{path}: report must be a JSON object")
-    for section, depth, keys in (("rom_total_deg", 1, _BOX_KEYS), ("tau_rms_nm", 1, _BOX_KEYS),
-                                 ("repeatability", 2, ("mean", "sd", "n"))):
-        _check_rows(path, section, report.get(section, {}), depth, keys)
+    for _, section, labels, values in _PLOTS:  # every key write_plot_csvs reads
+        _check_rows(path, section, report.get(section, {}), len(labels), values.values())
     return report
 
 
@@ -370,22 +372,17 @@ def _fmt(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
+def _leaves(node, depth, labels=()):
+    """``(labels, row)`` of each row ``depth`` levels of dicts below ``node``, keys sorted."""
+    return [(labels, node)] if not depth else [
+        leaf for name in sorted(node) for leaf in _leaves(node[name], depth - 1, (*labels, name))]
+
+
 def write_plot_csvs(report: dict, out_dir) -> list:
     """Write the ``rom_boxplot.csv``, ``torque_boxplot.csv`` and ``repeatability.csv`` of a
-    study report into ``out_dir``; returns the paths written."""
-    out_dir = Path(out_dir)
-    written = []
-    for fname, section in (("rom_boxplot.csv", "rom_total_deg"),
-                           ("torque_boxplot.csv", "tau_rms_nm")):
-        groups = report.get(section, {})
-        written.append(out_dir / fname)
-        _write_csv(written[-1], ["spring", *_BOX_KEYS],
-                   ([_fmt(spring)] + [_fmt(groups[spring][k]) for k in _BOX_KEYS]
-                    for spring in sorted(groups)))
-    repeat = report.get("repeatability", {})
-    written.append(out_dir / "repeatability.csv")
-    _write_csv(written[-1], ["spring", "posture", "mean_delta_deg", "sd_delta_deg", "n"],
-               (list(map(_fmt, (spring, posture, cell["mean"], cell["sd"], cell["n"])))
-                for spring in sorted(repeat)
-                for posture, cell in sorted(repeat[spring].items())))
-    return written
+    study report into ``out_dir``, as ``_PLOTS`` lays them out; returns the paths written."""
+    for fname, section, labels, values in _PLOTS:
+        _write_csv(Path(out_dir) / fname, (*labels, *values),
+                   ([*map(_fmt, names), *(_fmt(row[key]) for key in values.values())]
+                    for names, row in _leaves(report.get(section, {}), len(labels))))
+    return [Path(out_dir) / fname for fname, *_ in _PLOTS]

@@ -78,8 +78,8 @@ def fit_linear(curve: TorqueCurve) -> LinearFit:
         xm = float(x.mean())  # Python floats, so the fit holds no numpy scalar
         ym = float(y.mean())
         sxx = float(((x - xm) ** 2).sum())
-        if sxx == 0.0:
-            raise DomainError("fit needs at least 2 distinct angles")
+        if sxx == 0.0:  # TorqueCurve's angles increase, so their squared spread underflowed
+            raise DomainError("fit needs a wider angle range: the angles' squared spread underflows")
         if (y == y[0]).all():  # a rounded mean would tilt the line
             return LinearFit(0.0, float(y[0]), 1.0, n)
         sxy = float(((x - xm) * (y - ym)).sum())

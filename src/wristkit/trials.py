@@ -166,7 +166,7 @@ def clean_interpolate(log: TrialLog,
     valid = (np.isfinite(angle) & np.isfinite(current)
              & (angle >= lo) & (angle <= hi))
     n = valid.size
-    n_bad = n - np.count_nonzero(valid)
+    n_bad = n - int(np.count_nonzero(valid))  # Python numbers, so fraction is a float
     fraction = n_bad / n
     if fraction > max_fraction:
         raise TrialRejected(

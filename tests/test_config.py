@@ -257,6 +257,17 @@ def test_a_key_rule_is_reported_before_a_rule_between_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("angle_max", ["-10", "-10.5"])
+def test_an_empty_analysis_window_is_one_exit_3_line(tmp_path, capsys, angle_max):
+    path = tmp_path / "toolkit.ini"
+    path.write_text(f"[analysis]\nangle_min_deg = -10\nangle_max_deg = {angle_max}\n")
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(path), "simulate", "--posture", "P1", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "config error: [analysis] angle_min_deg must be below "
+                                       "angle_max_deg\n")
+    assert not out.exists()
+
+
 def test_each_rule_admits_its_boundary_value(tmp_path):
     path = tmp_path / "toolkit.ini"
     path.write_text("[segments]\nhand_mass_kg = 0\nhand_com_ratio = 1\n"

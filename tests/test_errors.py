@@ -13,15 +13,15 @@ import pytest
 
 from wristkit import fileio
 from wristkit.biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
-                              MotionProfile, hand_mass_from_body, sweep_torque_curve,
-                              wrist_reaction_moment)
+                              MotionProfile, TorqueCurve, hand_mass_from_body,
+                              sweep_torque_curve, wrist_reaction_moment)
 from wristkit.cli import main
 from wristkit.errors import DomainError
 from wristkit.springs import (LinearFit, SpringCatalogEntry, catalog_match,
                               stiffness_to_nmm_per_deg)
 from wristkit.transmission import CableRoute, Gearing, SpringSpec, capstan_transmit
-from wristkit.trials import (LikertResponse, TrialMeta, TrialMetrics, aggregate_report,
-                             joint_torque_estimate)
+from wristkit.trials import (LikertResponse, TrialLog, TrialMeta, TrialMetrics,
+                             aggregate_report, clean_interpolate, joint_torque_estimate)
 
 NAN, INF = math.nan, math.inf
 HAND = {"hand": BodySegment("hand", 0.6, 0.19, 0.5)}
@@ -73,6 +73,8 @@ MESSAGES = [
            (0.0, 0.05, 0.2, -1.0) + NONFINITE),
     *_rows("gravity", lambda v: wrist_reaction_moment(HAND, P1, 0.0, LOAD, g=v),
            "g must be finite, got {v}", NONFINITE),
+    *_rows("curve-shape", lambda v: TorqueCurve(v, v),
+           "angles and moments must be 1-d arrays of equal length", ([[0.0, 1.0]], 0.5)),
     # transmission
     *_rows("spring-stiffness", lambda v: SpringSpec(v, 0.1),
            "stiffness must be > 0, got {v}", NONPOSITIVE),
@@ -115,6 +117,16 @@ MESSAGES = [
            "tau_rms must be >= 0", (-1.0, NAN)),
     *_rows("metrics-samples", lambda v: TrialMetrics(1.0, 2.0, 3.0, 0.5, v, 0.0),
            "n_samples must be >= 1", (0, NAN)),
+    *_rows("metrics-fraction", lambda v: TrialMetrics(1.0, 2.0, 3.0, 0.5, 5, v),
+           "interpolated_fraction must lie in [0, 1]", (-0.1, 1.5, NAN)),
+    *_rows("trial-participant", lambda v: TrialMeta(v, "POS1", "unloaded", "S1", 1),
+           "participant, posture, and spring labels must be non-empty", ("",)),
+    *_rows("trial-posture", lambda v: TrialMeta("P1", v, "unloaded", "S1", 1),
+           "participant, posture, and spring labels must be non-empty", ("",)),
+    *_rows("trial-spring", lambda v: TrialMeta("P1", "POS1", "unloaded", v, 1),
+           "participant, posture, and spring labels must be non-empty", ("",)),
+    *_rows("angle-bounds", lambda v: clean_interpolate(TrialLog([0.0], [1.0], [1.0], [""]), v),
+           "angle_bounds must satisfy lo < hi, got {v}", ((10.0, -10.0), (5.0, 5.0), (NAN, 1.0))),
 ]
 
 

@@ -274,7 +274,7 @@ def _curve_outcome(path):
 
 def _assert_readers_agree(path, outcome=_trial_log_outcome):
     """The column reader and the row reader alone give the same ``outcome``."""
-    with mock.patch.object(fileio, "_plain_table", lambda text, header, dtype: None):
+    with mock.patch.object(fileio, "_plain_table", lambda text, dtype: None):
         by_rows = outcome(path)
     assert outcome(path) == by_rows
     return by_rows

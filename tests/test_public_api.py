@@ -146,6 +146,19 @@ def test_a_value_type_is_a_frozen_record_compared_by_value(cls, args, defaults, 
     assert tuple(getattr(record, name) for name in fields) == values
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("hand", 1.0, 2.0, 0.5, 9), {}, "takes 4 positional arguments but 5 were given"),
+    (("hand", 1.0, 2.0, 0.5), {"mass": 3}, "got multiple values for argument 'mass'"),
+    (("hand", 1.0, 2.0, 0.5, 9), {"mass": 3}, "got multiple values for argument 'mass'"),
+    (("hand", 1.0, 2.0, 0.5), {"weight": 3}, "got an unexpected argument 'weight'"),
+    (("hand", 1.0, 2.0), {}, "missing argument 'com_ratio'"),
+], ids=["too-many", "given-twice", "too-many-and-given-twice", "unknown-name", "missing"])
+def test_an_argument_fault_is_worded_as_python_words_it(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        wristkit.BodySegment(*args, **kwargs)
+    assert str(info.value) == f"BodySegment() {message}"
+
+
 def test_a_record_keeps_no_instance_dict():
     assert [cls.__name__ for cls, args, *_ in _RECORDS if hasattr(cls(*args), "__dict__")] == []
 
@@ -242,3 +255,13 @@ def test_a_record_with_no_fields_equals_its_kind_and_hashes():
     assert _Empty() == _Empty() and not _Empty() != _Empty() and _Empty()._values == ()
     assert hash(_Empty()) == hash(()) and len({_Empty(), _Empty()}) == 1
     assert repr(_Empty()) == "_Empty()" and pickle.loads(pickle.dumps(_Empty())) == _Empty()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _One(1.0, 2.0), "_One() takes 1 positional argument but 2 were given"),
+    (lambda: _Empty(1.0), "_Empty() takes 0 positional arguments but 1 was given"),
+], ids=["one-field", "no-field"])
+def test_a_record_counts_its_positional_arguments_as_python_does(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message

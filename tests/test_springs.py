@@ -62,6 +62,11 @@ def test_fit_degenerate_inputs():
         for n in (3, 50, 2000):
             fit = fit_linear(TorqueCurve(np.linspace(-0.77, 0.52, n), np.full(n, moment)))
             assert (fit.slope, fit.intercept, fit.r_squared) == (0.0, moment, 1.0), (moment, n)
+    # angles or moments whose squared spread underflows to zero
+    with pytest.raises(DomainError, match="^fit needs a wider angle range: the angles' "
+                                          "squared spread underflows$"):
+        fit_linear(TorqueCurve([0.0, 5e-324], [0.0, 1.0]))
+    assert fit_linear(TorqueCurve([0.0, 1.0], [0.0, 5e-324])).r_squared == 1.0
     with pytest.raises(DomainError):
         LinearFit(1.0, 0.0, 1.5, 10)
     with pytest.raises(DomainError):

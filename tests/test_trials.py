@@ -153,6 +153,19 @@ def test_clean_interpolates_current_too():
     assert cleaned.current_ma[1] == pytest.approx(15.0)
 
 
+@pytest.mark.parametrize("angles", [[1.0, 2.0, 3.0], [1.0, NAN, 3.0]], ids=["clean", "repaired"])
+def test_cleaning_and_metrics_hold_python_numbers_only(angles):
+    log, fraction = clean_interpolate(make_log(angles, [1.0] * 3), max_fraction=0.5)
+    metrics = trial_metrics(log, GEAR, fraction)
+    assert [type(getattr(metrics, name)) for name in metrics.__match_args__] == \
+        [float, float, float, float, int, float, type(None)]
+    assert "np." not in repr(metrics)
+    with pytest.raises(TrialRejected) as info:
+        clean_interpolate(make_log(angles[:2] + [NAN]), max_fraction=0.1)
+    assert type(info.value.fraction) is float
+    assert "np." not in repr(info.value.fraction)
+
+
 def test_clean_rejects_fully_invalid():
     with pytest.raises(TrialRejected):
         clean_interpolate(make_log([NAN, NAN]), max_fraction=1.0)
