@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 _HOME = {name: module for module, names in {  # public name -> the module that defines it
     "biomech": "ArmPosture BodySegment KinematicConvention LoadSpec MotionProfile TorqueCurve "
-               "hand_mass_from_body sweep_torque_curve wrist_reaction_moment",
+               "hand_mass_from_body moment_coefficients sweep_torque_curve wrist_reaction_moment",
     "config": "ToolkitConfig load_config", "stats": "chi2_survival",
     "errors": "ConfigError DataError DomainError TrialRejected",
     "springs": "CatalogSelection LinearFit SpringCatalogEntry catalog_match derive_spring "

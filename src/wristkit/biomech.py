@@ -37,7 +37,8 @@ the moment k . (r x g).  Both point masses sit on the hand axis and fold
 into one lever, so the reaction moment is exactly A cos(t) + B sin(t) with
 A = -lever k . (h x g) and B = -lever k . ((k x h) x g).  With g = (0, 0, -g),
 |k| = 1 and k . h = 0 (the axis is built from n' and u' x n, both normal to
-the hand) these are A = lever g (k_x h_y - k_y h_x) and B = -lever g h_z.
+the hand) these are A = lever g (k_x h_y - k_y h_x) and B = -lever g h_z,
+the pair :func:`moment_coefficients` returns.
 
 Angles are radians, masses kg, lengths m, moments N*m.  Returned moments
 are abduction-positive reaction torques: positive values mean the joint
@@ -196,30 +197,32 @@ def hand_mass_from_body(body_mass: float, sex: str,
     return body_mass * fraction
 
 
+def moment_coefficients(segments: dict, posture: ArmPosture, load: LoadSpec, g: float = GRAVITY,
+                        convention: KinematicConvention = DEFAULT_CONVENTION) -> tuple:
+    """``(A, B)`` in N*m, plain floats: the posture's reaction moment is exactly
+    A cos(t) + B sin(t) at wrist angle t, from one geometry solve (see the module doc)."""
+    if "hand" not in segments:
+        raise ConfigError("segment set is missing 'hand'")
+    hand = segments["hand"]
+    g = check_real("g", g)
+    (kx, ky, _), (hx, hy, hz) = wrist_geometry(posture, convention)
+    lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
+    return lever * g * (kx * hy - ky * hx), -lever * g * hz
+
+
 def wrist_reaction_moment(segments: dict, posture: ArmPosture, wrist_angle,
                           load: LoadSpec, g: float = GRAVITY,
                           convention: KinematicConvention = DEFAULT_CONVENTION):
     """Static torque (N*m) the wrist must supply about its deviation axis.
 
     Minus the gravity moment of the hand and handheld load about the axis,
-    abduction positive.  One geometry solve gives A and B of the closed form
-    A cos(t) + B sin(t); the axial Rodrigues term is parallel to the axis,
-    so it adds no moment (see the module doc).  A scalar ``wrist_angle``
-    returns a float, an array of angles returns an array.
+    abduction positive: :func:`moment_coefficients` evaluated at ``wrist_angle``.
+    A scalar ``wrist_angle`` returns a float, an array of angles returns an array.
     """
-    if "hand" not in segments:
-        raise ConfigError("segment set is missing 'hand'")
-    hand = segments["hand"]
+    a, b = moment_coefficients(segments, posture, load, g, convention)
     theta = np.asarray(wrist_angle)
     if theta.dtype.kind not in "biuf" or not np.isfinite(theta).all():
         raise DomainError("wrist_angle must be finite")
-    g = check_real("g", g)
-
-    (kx, ky, _), (hx, hy, hz) = wrist_geometry(posture, convention)
-    lever = hand.mass * hand.com_ratio * hand.length + load.handheld_mass * load.grip_offset
-    # A and B in plain floats, as the module doc reduces them: no BLAS call, no np.cross
-    a = lever * g * (kx * hy - ky * hx)
-    b = -lever * g * hz
     moment = a * np.cos(theta) + b * np.sin(theta)
     return float(moment) if moment.ndim == 0 else moment
 

@@ -100,15 +100,19 @@ def derive_spring(fit: LinearFit, pre_wind: float | None = None) -> SpringSpec:
     """Spring stiffness and neutral angle implied by a fitted line.
 
     Stiffness is the magnitude of the slope; the neutral (zero-torque)
-    angle is the line's x-intercept.  A negative neutral angle is legal
-    but means the spring never unloads inside the swept range, so it is
-    reported as a warning.
+    angle is the line's x-intercept.  A rising line (a clock spring's torque
+    falls with angle, so it would add to the moment) or else a negative neutral
+    angle (the spring never unloads inside the swept range) is legal but warned of.
     """
     if fit.slope == 0.0:
         raise DomainError("cannot derive a spring from a zero-slope fit")
     stiffness = abs(fit.slope)
     neutral = -fit.intercept / fit.slope
-    if neutral < 0.0:
+    if fit.slope > 0.0:
+        warnings.warn(f"fit slope {fit.slope:.4g} N*m/rad rises with angle: a clock spring's "
+                      "torque falls with angle, so this spring would add to the moment",
+                      stacklevel=2)
+    elif neutral < 0.0:
         warnings.warn(
             f"derived neutral angle {neutral:.4g} rad is negative: "
             "the spring stays loaded across the whole motion range",

@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from wristkit.biomech import (GRAVITY, ArmPosture, BodySegment, KinematicConvention,
                               LoadSpec, MotionProfile, TorqueCurve,
-                              hand_mass_from_body, sweep_torque_curve,
+                              hand_mass_from_body, moment_coefficients, sweep_torque_curve,
                               wrist_geometry, wrist_reaction_moment)
 from wristkit.config import load_config
 from wristkit.errors import ConfigError, DomainError
+from wristkit.springs import fit_linear
 
 import oracles
 
@@ -146,7 +148,8 @@ def test_moment_matches_pure_python_oracle():
 
 def test_closed_form_coefficients_match_the_cross_product_form():
     # A = -lever k . (h x g) and B = -lever k . ((k x h) x g), as the module doc
-    # states them, against the plain-float forms the moment is computed with
+    # states them, against the plain-float pair moment_coefficients returns; compared
+    # directly, they agree to 4 ulps of lever * g (2.6 ulps the worst seen over 5,000 draws)
     rng = random.Random(18)
     hand = SEGMENTS["hand"]
     for _ in range(1000):
@@ -159,9 +162,45 @@ def test_closed_form_coefficients_match_the_cross_product_form():
         g_vec = np.array([0.0, 0.0, -g])
         a = -lever * float(axis @ np.cross(hand_dir, g_vec))
         b = -lever * float(axis @ np.cross(np.cross(axis, hand_dir), g_vec))
-        got = wrist_reaction_moment(SEGMENTS, posture, np.array([0.0, math.pi / 2]), load, g,
-                                    convention)
-        assert np.abs(got - [a, b]).max() <= 1e-13 * lever * g
+        got = moment_coefficients(SEGMENTS, posture, load, g, convention)
+        assert [type(c) for c in got] == [float, float]
+        assert max(abs(got[0] - a), abs(got[1] - b)) <= 4 * sys.float_info.epsilon * lever * g
+
+
+def test_moment_is_the_coefficients_at_the_angle():
+    # a scalar angle's moment is A cos(t) + B sin(t) to the last bit
+    rng = random.Random(36)
+    for _ in range(1000):
+        posture = ArmPosture(*(rng.uniform(-math.pi, math.pi) for _ in range(3)))
+        convention = KinematicConvention(*(rng.uniform(-math.pi, math.pi) for _ in range(3)))
+        load = LoadSpec(rng.uniform(0, 2.0), rng.uniform(0, 0.3))
+        g, theta = rng.uniform(0.5, 25.0), rng.uniform(-4.0, 4.0)
+        a, b = moment_coefficients(SEGMENTS, posture, load, g, convention)
+        got = wrist_reaction_moment(SEGMENTS, posture, theta, load, g, convention)
+        assert type(got) is float
+        assert got == a * math.cos(theta) + b * math.sin(theta)
+
+
+@pytest.mark.parametrize("n_samples", [50, 2000])
+def test_closed_form_slope_matches_the_fitted_sweep(n_samples):
+    # the fit is linear in the moments, so a posture's fitted slope is A s_c + B s_s, with
+    # s_c and s_s the fitted slopes of cos and sin on the sweep's grid; the bound is relative
+    # to the two terms, since the slope itself nears 0 where they cancel
+    cfg = load_config()
+    rng = random.Random(12)
+    postures = [*PRESETS.values(), *(ArmPosture(rng.uniform(0, math.pi), rng.uniform(0, 2.6),
+                                                rng.uniform(-math.pi / 2, math.pi / 2))
+                                     for _ in range(300))]
+    grid = np.linspace(*cfg.motion.angle_range(), n_samples)
+    s_c = fit_linear(TorqueCurve(grid, np.cos(grid))).slope
+    s_s = fit_linear(TorqueCurve(grid, np.sin(grid))).slope
+    for posture in postures:
+        curve = sweep_torque_curve(cfg.segments, posture, cfg.motion, cfg.load, n_samples,
+                                   cfg.gravity, cfg.convention)
+        assert np.array_equal(curve.angles, grid)
+        a, b = moment_coefficients(cfg.segments, posture, cfg.load, cfg.gravity, cfg.convention)
+        assert (abs(a * s_c + b * s_s - fit_linear(curve).slope)
+                <= 1e-12 * (abs(a * s_c) + abs(b * s_s)))
 
 
 def test_moment_is_sinusoidal_in_wrist_angle():
@@ -194,6 +233,11 @@ def test_bad_wrist_angle_rejected():
     for bad in (math.nan, math.inf, np.array([0.1, math.nan]), "0.1", None):
         with pytest.raises(DomainError, match="wrist_angle"):
             wrist_reaction_moment(SEGMENTS, posture, bad, LOAD)
+    # the coefficients' own checks (the hand, then g) come before the angle's
+    with pytest.raises(DomainError, match="^g must be finite"):
+        wrist_reaction_moment(SEGMENTS, posture, math.nan, LOAD, g=math.inf)
+    with pytest.raises(ConfigError, match="missing 'hand'"):
+        wrist_reaction_moment({}, posture, math.nan, LOAD, g=math.inf)
 
 
 def test_sweep_solves_geometry_once(monkeypatch):

@@ -161,11 +161,13 @@ def test_fit_names_a_curve_as_it_was_written(tmp_path, capsys, monkeypatch):
     (["0.1,0.5"], "fit needs at least 2 samples"),
     (["-1e308,0", "0,1", "1e308,2"],
      "fit sums are not finite: the curve's angles or moments are too large"),
-    (["0,1", "1,2"], "derived neutral angle -1 rad is negative: "
-                     "the spring stays loaded across the whole motion range"),
+    (["0,-1", "1,-2"], "derived neutral angle -1 rad is negative: "
+                       "the spring stays loaded across the whole motion range"),
+    (["0,1", "1,2"], "fit slope 1 N*m/rad rises with angle: a clock spring's torque "
+                     "falls with angle, so this spring would add to the moment"),
     (["0,0.4", "0.1,0.4", "0.2,0.4"], "cannot derive a spring from a zero-slope fit"),
 ], ids=["one-row", "angles-near-the-float-limit", "negative-neutral-angle-as-error",
-        "flat-curve"])
+        "rising-fit-as-error", "flat-curve"])
 def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows, message):
     mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
     mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")
@@ -181,7 +183,7 @@ def test_fit_names_the_curve_it_cannot_size_a_spring_from(tmp_path, capsys, rows
 def test_fit_warning_names_the_worst_case_curve(tmp_path):
     mild, worst = tmp_path / "mild.csv", tmp_path / "worst.csv"
     mild.write_text("angle_rad,moment_Nm\n0,0.1\n1,0.2\n")
-    worst.write_text("angle_rad,moment_Nm\n0,1\n1,2\n")
+    worst.write_text("angle_rad,moment_Nm\n0,-1\n1,-2\n")
     out = tmp_path / "design.json"
     done = _python(["-m", "wristkit", "fit", str(mild), str(worst), "--out", str(out)],
                    "default")

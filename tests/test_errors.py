@@ -1,8 +1,8 @@
 """The wording of every scalar domain check, and the one number rule behind them.
 
-``MESSAGES`` pins ``str(DomainError)`` for each value each check rejects; the
-CLI prints these strings after ``config error:`` or ``data error:``, so they
-are part of the exit-code contract.
+``MESSAGES`` pins ``str(DomainError)`` (``ConfigError`` where a row says so) for
+each value each check rejects; the CLI prints these strings after ``config error:``
+or ``data error:``, so they are part of the exit-code contract.
 """
 
 import math
@@ -14,9 +14,9 @@ import pytest
 from wristkit import fileio
 from wristkit.biomech import (ArmPosture, BodySegment, KinematicConvention, LoadSpec,
                               MotionProfile, TorqueCurve, hand_mass_from_body,
-                              sweep_torque_curve, wrist_reaction_moment)
+                              moment_coefficients, sweep_torque_curve, wrist_reaction_moment)
 from wristkit.cli import main
-from wristkit.errors import DomainError
+from wristkit.errors import ConfigError, DomainError
 from wristkit.springs import (LinearFit, SpringCatalogEntry, catalog_match,
                               stiffness_to_nmm_per_deg)
 from wristkit.transmission import CableRoute, Gearing, SpringSpec, capstan_transmit
@@ -29,9 +29,9 @@ P1 = ArmPosture(0.5, 1.0, 1.5, "P1")
 LOAD = LoadSpec(0.5, 0.08)
 
 
-def _rows(site, make, message, values):
+def _rows(site, make, message, values, error=DomainError):
     """One table row per rejected value; ``message`` is formatted with ``v``."""
-    return [pytest.param(make, v, message.format(v=v), id=f"{site}-{v}") for v in values]
+    return [pytest.param(make, v, message.format(v=v), error, id=f"{site}-{v}") for v in values]
 
 
 NEGATIVE = (-1.0, NAN, INF, -INF)   # rejected by a ">= 0" check
@@ -73,6 +73,10 @@ MESSAGES = [
            (0.0, 0.05, 0.2, -1.0) + NONFINITE),
     *_rows("gravity", lambda v: wrist_reaction_moment(HAND, P1, 0.0, LOAD, g=v),
            "g must be finite, got {v}", NONFINITE),
+    *_rows("coefficients-gravity", lambda v: moment_coefficients(HAND, P1, LOAD, g=v),
+           "g must be finite, got {v}", NONFINITE),
+    *_rows("coefficients-segments", lambda v: moment_coefficients({v: HAND["hand"]}, P1, LOAD),
+           "segment set is missing 'hand'", ("forearm", "Hand"), ConfigError),
     *_rows("curve-shape", lambda v: TorqueCurve(v, v),
            "angles and moments must be 1-d arrays of equal length", ([[0.0, 1.0]], 0.5)),
     # transmission
@@ -130,9 +134,9 @@ MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("make, value, message", MESSAGES)
-def test_rejected_value_message(make, value, message):
-    with pytest.raises(DomainError) as info:
+@pytest.mark.parametrize("make, value, message, error", MESSAGES)
+def test_rejected_value_message(make, value, message, error):
+    with pytest.raises(error) as info:
         make(value)
     assert str(info.value) == message
 

@@ -112,6 +112,18 @@ def test_derive_spring_negative_neutral_warns():
     assert spring.neutral_angle == pytest.approx(-0.2)
 
 
+def test_derive_spring_rising_fit_warns_once():
+    # a clock spring's torque k (theta_n - theta) falls with angle, so on a rising line the
+    # spring adds to the moment; that one warning stands in for the negative-neutral-angle one
+    for intercept in (0.25, -0.25):  # neutral angle -0.5, then 0.5
+        with pytest.warns(UserWarning) as caught:
+            spring = derive_spring(LinearFit(0.5, intercept, 1.0, 10))
+        assert [str(w.message) for w in caught] == [
+            "fit slope 0.5 N*m/rad rises with angle: a clock spring's torque falls with angle, "
+            "so this spring would add to the moment"]
+        assert spring.stiffness == 0.5 and spring.neutral_angle == -2 * intercept
+
+
 def test_worst_case_select():
     c1 = line_curve(0.1, 0.05, label="P1")   # peak 0.127
     c2 = line_curve(-0.2, 0.1, label="P2")   # peak 0.254
